@@ -2,18 +2,18 @@
 //!
 //! Runs the fig10-style size sweep (eight cache sizes, 16B lines,
 //! write-through + fetch-on-write) through the banked data-free pass
-//! two ways, per workload:
-//!
-//! - `serial`: one [`simulate_many`] pass on the calling thread;
-//! - `sharded`: the work-stealing shard scheduler
-//!   ([`simulate_many_sharded`]) at 1, 2, 4, and 8 threads.
+//! of the work-stealing shard scheduler ([`simulate_many_sharded`]) at
+//! 1, 2, 4, and 8 threads, per workload. The one-thread pass runs the
+//! whole plan inline on the calling thread, so it is the serial
+//! baseline: the report's `serial_s` fields repeat it, and every
+//! speedup and efficiency is relative to it.
 //!
 //! The workload scale comes from `CWP_BENCH_SCALE`
 //! (`test|quick|paper|<factor>`, default `quick`): the `paper` knob
 //! drives the generators at the paper's ~187.6M-reference volume, the
 //! regime the chunked trace segments and the shard scheduler exist for.
-//! Outputs are checksummed against the serial pass on every run — a
-//! sharded divergence is a bench failure, not a number.
+//! Outputs are checksummed against an untimed serial pass on every run
+//! — a sharded divergence is a bench failure, not a number.
 //!
 //! With `CWP_BENCH_JSON=path` the medians, scaling efficiencies, and
 //! host core count land in a JSON report;
@@ -23,7 +23,7 @@
 use std::time::{Duration, Instant};
 
 use cwp_cache::CacheConfig;
-use cwp_core::sim::{simulate_many, simulate_many_sharded};
+use cwp_core::sim::simulate_many_sharded;
 use cwp_trace::{workloads, RecordedTrace, Scale};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -74,8 +74,14 @@ fn median_secs<T>(budget: Duration, mut f: impl FnMut() -> T) -> f64 {
 struct Row {
     workload: &'static str,
     refs: u64,
-    serial_s: f64,
     sharded_s: [f64; THREADS.len()],
+}
+
+impl Row {
+    /// The serial baseline: the one-thread pass runs inline.
+    fn serial_s(&self) -> f64 {
+        self.sharded_s[0]
+    }
 }
 
 fn main() {
@@ -91,16 +97,12 @@ fn main() {
     let mut rows = Vec::new();
     for w in workloads::suite() {
         let trace = RecordedTrace::record(w.as_ref(), scale);
-        let digest: u64 = simulate_many(&trace, &configs)
+        let digest: u64 = simulate_many_sharded(&trace, &configs, 1, None)
+            .0
+            .expect("uncancellable sweep")
             .iter()
             .map(|o| o.stats.accesses() ^ o.traffic_total.total_bytes())
             .sum();
-        let serial_s = median_secs(budget, || {
-            simulate_many(&trace, &configs)
-                .iter()
-                .map(|o| o.stats.accesses())
-                .sum::<u64>()
-        });
         let mut sharded_s = [0.0; THREADS.len()];
         for (slot, &threads) in sharded_s.iter_mut().zip(&THREADS) {
             *slot = median_secs(budget, || {
@@ -117,18 +119,15 @@ fn main() {
         let row = Row {
             workload: w.name(),
             refs: trace.len() as u64,
-            serial_s,
             sharded_s,
         };
-        let at = |i: usize| row.serial_s / row.sharded_s[i];
+        let at = |i: usize| row.serial_s() / row.sharded_s[i];
         println!(
-            "parallel-sweep/{}: {} refs, serial {:.1} ms; sharded x1 {:.1} ms ({:.2}x), \
+            "parallel-sweep/{}: {} refs, serial (x1) {:.1} ms; sharded \
              x2 {:.1} ms ({:.2}x), x4 {:.1} ms ({:.2}x), x8 {:.1} ms ({:.2}x)",
             row.workload,
             row.refs,
-            row.serial_s * 1e3,
             row.sharded_s[0] * 1e3,
-            at(0),
             row.sharded_s[1] * 1e3,
             at(1),
             row.sharded_s[2] * 1e3,
@@ -139,7 +138,7 @@ fn main() {
         rows.push(row);
     }
 
-    let suite_serial: f64 = rows.iter().map(|r| r.serial_s).sum();
+    let suite_serial: f64 = rows.iter().map(Row::serial_s).sum();
     let suite_sharded: Vec<f64> = (0..THREADS.len())
         .map(|i| rows.iter().map(|r| r.sharded_s[i]).sum())
         .collect();
@@ -171,12 +170,12 @@ fn main() {
                  \"sharded_s\": [{}], \"efficiency\": [{}]}}{}\n",
                 r.workload,
                 r.refs,
-                r.serial_s,
+                r.serial_s(),
                 r.sharded_s.map(|s| format!("{s:.6}")).join(", "),
                 r.sharded_s
                     .iter()
                     .zip(&THREADS)
-                    .map(|(s, t)| format!("{:.3}", r.serial_s / (*t as f64 * s)))
+                    .map(|(s, t)| format!("{:.3}", r.serial_s() / (*t as f64 * s)))
                     .collect::<Vec<_>>()
                     .join(", "),
                 if i + 1 < rows.len() { "," } else { "" }

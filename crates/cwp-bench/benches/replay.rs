@@ -8,7 +8,7 @@
 //!   generator once per sweep point, eight generator runs in all;
 //! - `replay`: record the trace once, then one replay pass per point;
 //! - `fanout`: record once, then a single pass through a bank of eight
-//!   caches (`simulate_many`).
+//!   caches (`sweep` over the recording, one thread).
 //!
 //! With `CWP_BENCH_JSON=path` the per-workload medians and the overall
 //! sweep speedup land in a JSON report (see `results/BENCH_replay.json`).
@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use cwp_cache::CacheConfig;
-use cwp_core::sim::{replay, simulate, simulate_many};
+use cwp_core::sim::{replay, simulate, sweep, Source};
 use cwp_trace::{workloads, RecordedTrace, Scale};
 
 const SCALE: Scale = Scale::Quick;
@@ -86,7 +86,9 @@ fn main() {
                 .sum::<u64>()
         });
         let fanout_s = median_secs(budget, || {
-            simulate_many(&trace, &configs)
+            sweep(Source::Recorded(&trace), &configs, 1, None)
+                .0
+                .expect("uncancellable sweep")
                 .iter()
                 .map(|o| o.stats.accesses())
                 .sum::<u64>()

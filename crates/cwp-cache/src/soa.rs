@@ -376,15 +376,14 @@ mod tests {
     use super::*;
     use crate::cache::Cache;
     use cwp_mem::rng::SplitMix64;
-    use cwp_mem::{TrafficRecorder, VoidMemory};
 
     /// Drives the same pseudo-random reference stream through the SoA
-    /// engine and the golden data-free engine and requires identical
+    /// engine and the golden data-carrying engine and requires identical
     /// stats and traffic at every policy/geometry point — the same
     /// contract the cwp-core matrix test pins at the sink level.
     fn assert_matches_golden(config: CacheConfig, seed: u64) {
         let mut soa = SoaCache::new(config);
-        let mut golden = Cache::new(config, TrafficRecorder::new(VoidMemory));
+        let mut golden = Cache::with_memory(config);
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut buf = [0u8; 8];
         for _ in 0..20_000 {

@@ -7,9 +7,10 @@
 //!
 //! Each case draws a cache configuration and a reference stream from a
 //! [`SplitMix64`] chain and lock-steps every optimized engine path —
-//! the data-carrying cache, the recorded-trace replay, the data-free
-//! bank of `simulate_many`, and the audited replay — against the naive
-//! `cwp-verify` [`ModelCache`] oracle. Configurations cycle through all
+//! the data-carrying cache, the recorded-trace replay, both plans of
+//! the `sweep` driver (sharded over a recording, streamed from a live
+//! run), and the audited replay — against the naive `cwp-verify`
+//! [`ModelCache`] oracle. Configurations cycle through all
 //! six valid write-policy combinations; streams cycle through windows
 //! of the six paper workloads plus pure-random, strided, and hot-set
 //! shapes. On divergence the case is shrunk (drop reference chunks,
@@ -29,7 +30,7 @@ use std::process::ExitCode;
 
 use cwp_buffers::CoalescingWriteBuffer;
 use cwp_cache::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
-use cwp_core::{replay, replay_audited, simulate, simulate_many};
+use cwp_core::{replay, simulate, simulate_audited, sweep, Source};
 use cwp_mem::rng::SplitMix64;
 use cwp_trace::{workloads, MemRef, RecordedTrace, Scale, TraceSink, TraceSummary, Workload};
 use cwp_verify::{check_case, check_case_with, shrink, CaseRef, FuzzCase, ModelBug, ModelCache};
@@ -103,8 +104,8 @@ fn parse_args() -> Result<Cli, String> {
 
 /// Wraps a case's reference stream as a [`Workload`] so it can drive
 /// every engine entry point: `simulate`, `RecordedTrace::record`,
-/// `simulate_many`, and the audited replay. `scale` is ignored — fuzz
-/// streams are already exactly the length the case says.
+/// `sweep` from either source, and the audited replay. `scale` is
+/// ignored — fuzz streams are already exactly the length the case says.
 struct RefStream {
     refs: Vec<MemRef>,
 }
@@ -318,7 +319,8 @@ fn full_check(case: &FuzzCase) -> Option<String> {
         return Some(d.to_string());
     }
     // 2. Engine-path agreement: live generator run, recorded replay,
-    //    data-free bank, and audited replay must all coincide — and
+    //    both sweep plans (sharded over the recording, streamed from
+    //    the live stream), and audited replay must all coincide — and
     //    match the model's (data-independent) stats and total traffic.
     let Some(stream) = RefStream::from_case(case) else {
         return None; // foreign case outside MemRef's alignment domain
@@ -326,29 +328,29 @@ fn full_check(case: &FuzzCase) -> Option<String> {
     let config = case.config;
     let golden = simulate(&stream, Scale::Test, &config);
     let trace = RecordedTrace::record(&stream, Scale::Test);
+    let banked = |source| {
+        sweep(source, &[config, CacheConfig::default()], 2, None)
+            .0
+            .and_then(|outcomes| outcomes.into_iter().next())
+            .expect("an uncancellable sweep yields one outcome per config")
+    };
     let paths = [
         ("replay", replay(&trace, &config)),
+        ("banked-recorded", banked(Source::Recorded(&trace))),
         (
-            "banked",
-            simulate_many(&trace, &[config, CacheConfig::default()])
-                .into_iter()
-                .next()
-                .expect("one outcome per config"),
+            "banked-streamed",
+            banked(Source::Live(&stream, Scale::Test)),
         ),
         (
             "audited-replay",
-            match replay_audited(&trace, &config) {
+            match simulate_audited(Source::Recorded(&trace), &config) {
                 Ok(out) => out,
                 Err(e) => return Some(format!("audited replay failed: {e}")),
             },
         ),
     ];
     for (name, out) in &paths {
-        if out.summary != golden.summary
-            || out.stats != golden.stats
-            || out.traffic_execution != golden.traffic_execution
-            || out.traffic_total != golden.traffic_total
-        {
+        if *out != golden {
             return Some(format!("engine path '{name}' diverges from live simulate"));
         }
     }

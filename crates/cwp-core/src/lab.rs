@@ -1,20 +1,25 @@
 //! The [`Lab`]: memoized simulation runs shared across experiments.
+//!
+//! Every run is driven from a [`Source`]: the shared
+//! [`TraceStore`]'s recording when the workload fits its budget, a live
+//! generator run otherwise. Single outcomes go through
+//! [`simulate_probed`] (or [`simulate_audited`]); a sweep's missing
+//! configurations go through one [`sweep`] call, which picks the
+//! sharded or streamed plan from the source.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cwp_cache::CacheConfig;
+use cwp_cache::{CacheConfig, NullProbe};
 use cwp_obs::{obs_debug, obs_error};
 use cwp_trace::{workloads, MemRef, Scale, TraceSink, Workload};
 
 use crate::obs::{trace_replay, trace_simulation, TraceOptions};
 use crate::shard::ShardReport;
 use crate::sim::{
-    replay, replay_audited, simulate, simulate_audited, simulate_many_audited,
-    simulate_many_sharded, simulate_many_streamed, SimOutcome,
+    simulate_audited, simulate_many_audited, simulate_probed, sweep, SimOutcome, Source,
 };
 use crate::store::TraceStore;
-use cwp_trace::RecordedTrace;
 
 /// One store extracted from a trace, with its arrival time in instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,8 +140,9 @@ impl Lab {
     }
 
     /// Sets the worker-thread budget for sweep fan-out: with more than
-    /// one thread, [`Lab::outcomes_sweep`] runs its banked pass through
-    /// the work-stealing shard scheduler ([`simulate_many_sharded`]).
+    /// one thread, [`Lab::outcomes_sweep`] spreads its [`sweep`] over
+    /// that many workers (work-stealing shards over a recording, or
+    /// per-chunk bank splits over a live stream).
     /// Outcomes are identical at every thread count — parallelism only
     /// changes wall clock. Defaults to 1 (fully serial).
     pub fn set_threads(&mut self, threads: usize) {
@@ -150,7 +156,8 @@ impl Lab {
 
     /// Cumulative shard-scheduler accounting across every sharded sweep
     /// this lab has run: executed/stolen counts and per-shard wall
-    /// micros, ready to feed an observability registry.
+    /// micros, ready to feed an observability registry. Streamed sweeps
+    /// run no shards and leave it untouched.
     pub fn shard_report(&self) -> &ShardReport {
         &self.shard_report
     }
@@ -281,23 +288,22 @@ impl Lab {
     fn run_one(&mut self, idx: usize, config: &CacheConfig) -> SimOutcome {
         let w = self.workloads[idx].as_ref();
         let recording = self.store.get_or_record(w);
+        let source = Source::stored(recording.as_deref(), w, self.scale);
         let audit = self.audit;
-        let scale = self.scale;
-        let untraced = |rec: Option<&RecordedTrace>| match (audit, rec) {
-            (false, Some(rec)) => replay(rec, config),
-            (false, None) => simulate(w, scale, config),
-            (true, Some(rec)) => replay_audited(rec, config).unwrap_or_else(|e| {
-                panic!("invariant audit failed for {}/{config}: {e}", w.name())
-            }),
-            (true, None) => simulate_audited(w, scale, config).unwrap_or_else(|e| {
-                panic!("invariant audit failed for {}/{config}: {e}", w.name())
-            }),
+        let untraced = || {
+            if audit {
+                simulate_audited(source, config).unwrap_or_else(|e| {
+                    panic!("invariant audit failed for {}/{config}: {e}", w.name())
+                })
+            } else {
+                simulate_probed(source, config, NullProbe).0
+            }
         };
         let Some(trace) = &mut self.trace else {
-            return untraced(recording.as_deref());
+            return untraced();
         };
         if trace.only.as_deref().is_some_and(|only| only != w.name()) {
-            return untraced(recording.as_deref());
+            return untraced();
         }
         let dir =
             trace
@@ -320,7 +326,7 @@ impl Lab {
                     "trace of {context}/{} failed: {e}; rerunning untraced",
                     w.name()
                 );
-                untraced(recording.as_deref())
+                untraced()
             }
         }
     }
@@ -352,14 +358,8 @@ impl Lab {
             .find(|w| w.name() == workload)
             .unwrap_or_else(|| panic!("unknown workload {workload}"));
         let mut stream = WriteStream::default();
-        match self.store.get_or_record(w.as_ref()) {
-            Some(rec) => {
-                rec.replay(&mut stream);
-            }
-            None => {
-                w.run(self.scale, &mut stream);
-            }
-        }
+        let recording = self.store.get_or_record(w.as_ref());
+        Source::stored(recording.as_deref(), w.as_ref(), self.scale).drive(&mut stream);
         let stream = Arc::new(stream);
         self.streams
             .insert(workload.to_string(), Arc::clone(&stream));
@@ -372,12 +372,15 @@ impl Lab {
     /// Equivalent to calling [`Lab::outcome`] per configuration — same
     /// outcomes, same memoization, same run accounting — but when
     /// several configurations are missing from the memo they are
-    /// simulated as one banked pass: a sharded replay of the store's
-    /// recording ([`simulate_many_sharded`], on [`Lab::set_threads`]
-    /// workers), or — when no recording fits the store budget — one
-    /// streamed generator run feeding the whole bank
-    /// ([`simulate_many_streamed`]). Traced runs keep the
-    /// per-configuration path so every run directory still appears.
+    /// simulated as one [`sweep`] on [`Lab::set_threads`] workers: a
+    /// sharded replay of the store's recording, or — when no recording
+    /// fits the store budget — one streamed generator run feeding the
+    /// whole bank. Audited labs cross-check the sweep against audited
+    /// single runs ([`simulate_many_audited`]); with no recording that
+    /// costs one streamed generator pass on top of the per-configuration
+    /// audited live runs, so the streamed plan is audited too. Traced
+    /// runs keep the per-configuration path so every run directory
+    /// still appears.
     ///
     /// # Panics
     ///
@@ -401,43 +404,29 @@ impl Lab {
         if missing.len() > 1 && !tracing_this {
             let w = self.workload(workload);
             let recording = self.store.get_or_record(w);
-            let outcomes = match (self.audit, recording.as_deref()) {
-                (true, Some(rec)) => {
-                    Some(simulate_many_audited(rec, &missing).unwrap_or_else(|e| {
-                        panic!("invariant audit failed for {workload} sweep: {e}")
-                    }))
-                }
-                (false, Some(rec)) => {
-                    let (outcomes, report) =
-                        simulate_many_sharded(rec, &missing, self.threads, None);
-                    self.shard_report.threads = report.threads;
-                    self.shard_report.executed += report.executed;
-                    self.shard_report.stolen += report.stolen;
-                    self.shard_report.shard_us.extend(report.shard_us);
-                    Some(outcomes.expect("an uncancellable sweep always completes"))
-                }
-                // No recording fits the store budget (paper-scale
-                // workloads): stream the generator once through the
-                // whole missing bank instead of once per configuration.
-                (false, None) => {
-                    let w = self.workload(workload);
-                    Some(simulate_many_streamed(
-                        w,
-                        self.scale,
-                        &missing,
-                        self.threads,
-                    ))
-                }
-                // The audited no-recording path keeps per-configuration
-                // live runs so the auditor sees every reference.
-                (true, None) => None,
+            let source = Source::stored(recording.as_deref(), w, self.scale);
+            let (outcomes, report) = if self.audit {
+                let outcomes = simulate_many_audited(source, &missing)
+                    .unwrap_or_else(|e| panic!("invariant audit failed for {workload} sweep: {e}"));
+                (outcomes, ShardReport::default())
+            } else {
+                let (outcomes, report) = sweep(source, &missing, self.threads, None);
+                (
+                    outcomes.expect("an uncancellable sweep always completes"),
+                    report,
+                )
             };
-            if let Some(outcomes) = outcomes {
-                for (config, outcome) in missing.iter().zip(outcomes) {
-                    self.runs += 1;
-                    self.memo
-                        .insert((workload.to_string(), *config), Arc::new(outcome));
-                }
+            // A streamed sweep runs no shards and leaves `threads` alone.
+            if report.executed > 0 {
+                self.shard_report.threads = report.threads;
+            }
+            self.shard_report.executed += report.executed;
+            self.shard_report.stolen += report.stolen;
+            self.shard_report.shard_us.extend(report.shard_us);
+            for (config, outcome) in missing.iter().zip(outcomes) {
+                self.runs += 1;
+                self.memo
+                    .insert((workload.to_string(), *config), Arc::new(outcome));
             }
         }
         configs

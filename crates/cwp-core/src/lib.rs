@@ -15,6 +15,9 @@
 //!
 //! * [`sim::simulate`] runs one workload through one cache configuration
 //!   and returns stats plus back-side traffic.
+//! * [`sim::sweep`] runs a whole configuration bank over one
+//!   [`sim::Source`] — a recorded trace or a live workload — and picks
+//!   the sharded or streamed plan from it.
 //! * [`lab::Lab`] memoizes simulation outcomes across experiments so a
 //!   full figure run never simulates the same (workload, configuration)
 //!   pair twice.
@@ -40,9 +43,8 @@ pub use report::{require_table, Cell, CellError, CellErrorKind, Table};
 pub use runner::{Job, JobOutcome, JobResult, RunSummary, Runner, RunnerConfig};
 pub use shard::{run_shards, ShardReport};
 pub use sim::{
-    replay, replay_audited, replay_cancellable, replay_probed, simulate, simulate_audited,
-    simulate_many, simulate_many_audited, simulate_many_cancellable, simulate_many_sharded,
-    simulate_many_streamed, simulate_many_streamed_cancellable, simulate_probed, SimOutcome,
+    replay, simulate, simulate_audited, simulate_many_audited, simulate_many_sharded,
+    simulate_probed, sweep, SimOutcome, Source,
 };
 pub use store::TraceStore;
 pub use supervise::{backoff_delay, CancelToken, Supervisor};

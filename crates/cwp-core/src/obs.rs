@@ -27,7 +27,7 @@ use cwp_mem::Traffic;
 use cwp_obs::{obs_warn, JsonlWriter, RunManifest, Tee, WindowRow, WindowSampler};
 use cwp_trace::{RecordedTrace, Scale, Workload};
 
-use crate::sim::{replay_probed, simulate_probed, SimOutcome};
+use crate::sim::{simulate_probed, SimOutcome, Source};
 
 /// Where and how finely to trace.
 #[derive(Debug, Clone)]
@@ -183,7 +183,7 @@ pub fn trace_simulation(
         experiment,
         options,
         dir,
-        |probe| simulate_probed(workload, scale, config, probe),
+        |probe| simulate_probed(Source::Live(workload, scale), config, probe),
     )
 }
 
@@ -205,7 +205,7 @@ pub fn trace_replay(
     dir: &Path,
 ) -> io::Result<TracedRun> {
     trace_driver(name, scale, config, experiment, options, dir, |probe| {
-        replay_probed(trace, config, probe)
+        simulate_probed(Source::Recorded(trace), config, probe)
     })
 }
 

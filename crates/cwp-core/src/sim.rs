@@ -1,20 +1,39 @@
 //! Driving a workload trace through a cache configuration.
+//!
+//! A [`Source`] names where the reference stream comes from: a
+//! [`RecordedTrace`] replay or a live [`Workload`] run. Single runs go
+//! through [`simulate_probed`] and [`simulate_audited`] (with the
+//! [`simulate`] and [`replay`] shorthands), and every configuration
+//! sweep goes through one driver, [`sweep`], which picks its plan from
+//! the source:
+//!
+//! * a recording is replayed as work-stealing shards, each a bank of
+//!   sinks fed by one decode of the trace ([`simulate_many_sharded`]);
+//! * a live workload runs its generator once, streaming bounded chunks
+//!   of references through the whole bank.
+//!
+//! Both plans poll an optional [`CancelToken`] and produce outcomes
+//! identical to per-configuration [`simulate`] calls at every thread
+//! count. [`simulate_many_sharded`] stays public because it is the
+//! recorded plan itself: the `perfbench` harness and the serve
+//! equivalence checks call it on a bare recording to time the plan and
+//! to compute the result a server must reproduce.
 
 use cwp_cache::{Cache, CacheConfig, CacheStats, NullProbe, Probe, SoaCache};
-use cwp_mem::{CwpError, MainMemory, NextLevel, Traffic, TrafficRecorder, VoidMemory};
+use cwp_mem::{CwpError, MainMemory, Traffic, TrafficRecorder};
 use cwp_trace::{AccessKind, MemRef, RecordedTrace, Scale, TraceSink, TraceSummary, Workload};
 use cwp_verify::InvariantAuditor;
 
 use crate::shard::{run_shards, ShardReport};
 use crate::supervise::CancelToken;
 
-/// How many references the cancellable drivers replay between polls of
-/// their [`CancelToken`]. Small enough to bound cancellation latency to
+/// How many references a recorded-plan shard replays between polls of
+/// its [`CancelToken`]. Small enough to bound cancellation latency to
 /// well under a millisecond, large enough that the poll is free.
 const CANCEL_POLL_REFS: usize = 4096;
 
 /// Everything one (workload, configuration) simulation produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOutcome {
     /// The trace's instruction/read/write totals.
     pub summary: TraceSummary,
@@ -40,53 +59,56 @@ impl SimOutcome {
     }
 }
 
-/// A [`TraceSink`] adapter that feeds references into a cache.
+/// Where a simulation's reference stream comes from.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    /// Replay of a pre-recorded trace.
+    Recorded(&'a RecordedTrace),
+    /// A live generator run of the workload at the given scale.
+    Live(&'a dyn Workload, Scale),
+}
+
+impl<'a> Source<'a> {
+    /// The recording when a [`TraceStore`](crate::store::TraceStore)
+    /// lookup produced one, else a live run of `workload` at `scale`.
+    pub fn stored(
+        recording: Option<&'a RecordedTrace>,
+        workload: &'a dyn Workload,
+        scale: Scale,
+    ) -> Self {
+        match recording {
+            Some(trace) => Source::Recorded(trace),
+            None => Source::Live(workload, scale),
+        }
+    }
+
+    /// Pushes the source's reference stream into `sink` and returns the
+    /// run's totals. Both sources yield the identical stream and
+    /// summary for the same workload and scale.
+    pub fn drive(&self, sink: &mut dyn TraceSink) -> TraceSummary {
+        match *self {
+            Source::Recorded(trace) => trace.replay(sink),
+            Source::Live(workload, scale) => workload.run(scale, sink),
+        }
+    }
+}
+
+/// A [`TraceSink`] adapter that feeds references into the golden
+/// data-carrying cache, backed by [`MainMemory`].
 ///
 /// Store data is fabricated (the byte pattern is irrelevant to every
 /// statistic; functional correctness is covered by the transparency
-/// property tests in `cwp-cache`). The backing memory `M` defaults to
-/// [`MainMemory`], the golden data-carrying model; measurement-only
-/// passes may substitute [`VoidMemory`] via [`CacheSink::data_free`].
+/// property tests in `cwp-cache`).
 #[derive(Debug)]
-pub struct CacheSink<P = NullProbe, M = MainMemory> {
-    cache: Cache<TrafficRecorder<M>, P>,
+pub struct CacheSink<P = NullProbe> {
+    cache: Cache<TrafficRecorder<MainMemory>, P>,
     scratch: [u8; 8],
 }
 
 impl CacheSink {
     /// Wraps a fresh cache built from `config`.
     pub fn new(config: CacheConfig) -> Self {
-        CacheSink {
-            cache: Cache::with_memory(config),
-            scratch: [0u8; 8],
-        }
-    }
-}
-
-impl CacheSink<NullProbe, VoidMemory> {
-    /// Wraps a fresh cache backed by [`VoidMemory`] instead of a real
-    /// data image.
-    ///
-    /// [`CacheStats`] and [`Traffic`] are functions of the address
-    /// stream and the configuration alone, so a data-free cache settles
-    /// to outcomes identical to [`CacheSink::new`]'s at a fraction of
-    /// the cost — but only while nothing observes the bytes themselves.
-    /// Fault injection does (corrupted data changes recovery
-    /// accounting), hence the panic below.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` enables fault injection.
-    pub fn data_free(config: CacheConfig) -> Self {
-        assert_eq!(
-            config.fault_rate_ppm(),
-            0,
-            "a data-free cache cannot model fault injection"
-        );
-        CacheSink {
-            cache: Cache::new(config, TrafficRecorder::new(VoidMemory)),
-            scratch: [0u8; 8],
-        }
+        CacheSink::with_probe(config, NullProbe)
     }
 }
 
@@ -99,26 +121,24 @@ impl<P: Probe> CacheSink<P> {
             scratch: [0u8; 8],
         }
     }
-}
 
-impl<P: Probe, M: NextLevel> CacheSink<P, M> {
     /// The cache being driven.
-    pub fn cache(&self) -> &Cache<TrafficRecorder<M>, P> {
+    pub fn cache(&self) -> &Cache<TrafficRecorder<MainMemory>, P> {
         &self.cache
     }
 
     /// Mutable access to the cache being driven.
-    pub fn cache_mut(&mut self) -> &mut Cache<TrafficRecorder<M>, P> {
+    pub fn cache_mut(&mut self) -> &mut Cache<TrafficRecorder<MainMemory>, P> {
         &mut self.cache
     }
 
     /// Consumes the sink, returning the cache.
-    pub fn into_cache(self) -> Cache<TrafficRecorder<M>, P> {
+    pub fn into_cache(self) -> Cache<TrafficRecorder<MainMemory>, P> {
         self.cache
     }
 }
 
-impl<P: Probe, M: NextLevel> TraceSink for CacheSink<P, M> {
+impl<P: Probe> TraceSink for CacheSink<P> {
     #[inline]
     fn record(&mut self, r: MemRef) {
         let len = r.size as usize;
@@ -137,12 +157,12 @@ impl<P: Probe, M: NextLevel> TraceSink for CacheSink<P, M> {
 
 /// A [`TraceSink`] over the struct-of-arrays data-free engine
 /// ([`SoaCache`]): flat tag/valid/dirty/LRU word arrays, no data image,
-/// traffic tallied in place. This is what the banked fan-out paths
-/// ([`simulate_many`] and friends) actually drive; it settles to
-/// outcomes bit-identical to [`CacheSink::data_free`]'s (the
-/// policy/geometry matrix test below pins both against the golden
-/// engine), at a fraction of the per-reference cost and ~32 bytes of
-/// state per line.
+/// traffic tallied in place. Every fault-free member of a [`sweep`] bank
+/// runs on it. [`CacheStats`] and [`Traffic`] are functions of the
+/// address stream and the configuration alone, so it settles to
+/// outcomes bit-identical to [`CacheSink`]'s (the policy/geometry matrix
+/// test below pins it against the golden engine), at a fraction of the
+/// per-reference cost and ~32 bytes of state per line.
 #[derive(Debug, Clone)]
 pub struct DataFreeSink {
     cache: SoaCache,
@@ -153,8 +173,9 @@ impl DataFreeSink {
     ///
     /// # Panics
     ///
-    /// Panics if `config` enables fault injection (see
-    /// [`CacheSink::data_free`]).
+    /// Panics if `config` enables fault injection: corrupted data
+    /// changes recovery accounting, so faults need the data-carrying
+    /// [`CacheSink`].
     pub fn new(config: CacheConfig) -> Self {
         DataFreeSink {
             cache: SoaCache::new(config),
@@ -167,7 +188,7 @@ impl DataFreeSink {
     }
 
     /// Final-flush epilogue: flush (flush stop), split traffic into
-    /// execution-only vs total. Mirrors [`settle`] for the SoA engine.
+    /// execution-only vs total, as the data-carrying engine does.
     pub fn settle(mut self, summary: TraceSummary) -> SimOutcome {
         let traffic_execution = self.cache.traffic();
         self.cache.flush();
@@ -208,43 +229,7 @@ impl TraceSink for DataFreeSink {
 /// assert!(outcome.stats.accesses() > 0);
 /// ```
 pub fn simulate(workload: &dyn Workload, scale: Scale, config: &CacheConfig) -> SimOutcome {
-    let (outcome, NullProbe) = simulate_probed(workload, scale, config, NullProbe);
-    outcome
-}
-
-/// As [`simulate`], but with `probe` attached to the cache for the whole
-/// run (execution and final flush). Returns the probe alongside the
-/// outcome so callers can inspect what it collected.
-pub fn simulate_probed<P: Probe>(
-    workload: &dyn Workload,
-    scale: Scale,
-    config: &CacheConfig,
-    probe: P,
-) -> (SimOutcome, P) {
-    let mut sink = CacheSink::with_probe(*config, probe);
-    let summary = workload.run(scale, &mut sink);
-    settle(sink, summary)
-}
-
-/// Final-flush epilogue shared by every simulation driver: flush the
-/// cache (flush stop), split traffic into execution-only vs total, and
-/// hand the probe back.
-fn settle<P: Probe, M: NextLevel>(sink: CacheSink<P, M>, summary: TraceSummary) -> (SimOutcome, P) {
-    let mut cache = sink.into_cache();
-    let traffic_execution = cache.traffic();
-    cache.flush();
-    let stats = *cache.stats();
-    let traffic_total = cache.traffic();
-    let (_, probe) = cache.into_parts();
-    (
-        SimOutcome {
-            summary,
-            stats,
-            traffic_execution,
-            traffic_total,
-        },
-        probe,
-    )
+    simulate_probed(Source::Live(workload, scale), config, NullProbe).0
 }
 
 /// As [`simulate`], but driven by a pre-recorded trace instead of a
@@ -265,244 +250,103 @@ fn settle<P: Probe, M: NextLevel>(sink: CacheSink<P, M>, summary: TraceSummary) 
 /// assert_eq!(live.stats, replayed.stats);
 /// ```
 pub fn replay(trace: &RecordedTrace, config: &CacheConfig) -> SimOutcome {
-    let (outcome, NullProbe) = replay_probed(trace, config, NullProbe);
-    outcome
+    simulate_probed(Source::Recorded(trace), config, NullProbe).0
 }
 
-/// As [`simulate_probed`], but driven by a pre-recorded trace.
-pub fn replay_probed<P: Probe>(
-    trace: &RecordedTrace,
+/// Drives `source` through a cache built from `config` with `probe`
+/// attached for the whole run (execution and final flush). Returns the
+/// probe alongside the outcome so callers can inspect what it
+/// collected.
+pub fn simulate_probed<P: Probe>(
+    source: Source<'_>,
     config: &CacheConfig,
     probe: P,
 ) -> (SimOutcome, P) {
     let mut sink = CacheSink::with_probe(*config, probe);
-    let summary = trace.replay(&mut sink);
+    let summary = source.drive(&mut sink);
     settle(sink, summary)
 }
 
-/// One replay pass through a bank of caches: every reference is fed to
-/// each configuration in turn, so an N-point sweep decodes the trace
-/// once instead of N times. Outcomes are returned in `configs` order
-/// and are identical to calling [`replay`] per configuration.
-///
-/// Configurations without fault injection run as *data-free* banks
-/// ([`CacheSink::data_free`]): no bytes move, no memory image is kept,
-/// and only the metadata machinery — tags, valid/dirty masks, LRU,
-/// traffic counters — executes. That skips `MainMemory`'s per-byte page
-/// bookkeeping, which otherwise dominates a sweep's wall-clock cost.
-/// Fault-injecting configurations (whose statistics *do* depend on the
-/// bytes) fall back to a full per-configuration [`replay`].
-pub fn simulate_many(trace: &RecordedTrace, configs: &[CacheConfig]) -> Vec<SimOutcome> {
-    let mut outcomes: Vec<Option<SimOutcome>> = configs.iter().map(|_| None).collect();
-    let bank: Vec<usize> = (0..configs.len())
-        .filter(|&i| configs[i].fault_rate_ppm() == 0)
-        .collect();
-    if !bank.is_empty() {
-        let mut sinks: Vec<DataFreeSink> = bank
-            .iter()
-            .map(|&i| DataFreeSink::new(configs[i]))
-            .collect();
-        for r in trace.iter() {
-            for sink in &mut sinks {
-                sink.record(r);
-            }
-        }
-        let summary = trace.summary();
-        for (&i, sink) in bank.iter().zip(sinks) {
-            outcomes[i] = Some(sink.settle(summary));
-        }
-    }
-    for (i, config) in configs.iter().enumerate() {
-        if outcomes[i].is_none() {
-            outcomes[i] = Some(replay(trace, config));
-        }
-    }
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every configuration was settled or replayed"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Cancellable drivers (`cwp-serve` deadlines)
-// ---------------------------------------------------------------------
-
-/// As [`replay`], but polls `cancel` every [`CANCEL_POLL_REFS`]
-/// references. Returns `None` if the token trips before the replay
-/// finishes — the outcome so far is discarded, since a partial drive
-/// produces meaningless statistics. An un-cancelled run is identical to
-/// [`replay`].
-pub fn replay_cancellable(
-    trace: &RecordedTrace,
-    config: &CacheConfig,
-    cancel: &CancelToken,
-) -> Option<SimOutcome> {
-    let mut sink = CacheSink::new(*config);
-    for (i, r) in trace.iter().enumerate() {
-        if i % CANCEL_POLL_REFS == 0 && cancel.is_cancelled() {
-            return None;
-        }
-        sink.record(r);
-    }
-    if cancel.is_cancelled() {
-        return None;
-    }
-    Some(settle(sink, trace.summary()).0)
-}
-
-/// As [`simulate_many`], but cooperatively cancellable: the banked pass
-/// polls `cancel` every [`CANCEL_POLL_REFS`] references, and the
-/// per-configuration fault-injection fallback uses
-/// [`replay_cancellable`]. Returns `None` on cancellation; an
-/// un-cancelled run returns outcomes identical to [`simulate_many`].
-pub fn simulate_many_cancellable(
-    trace: &RecordedTrace,
-    configs: &[CacheConfig],
-    cancel: &CancelToken,
-) -> Option<Vec<SimOutcome>> {
-    let mut outcomes: Vec<Option<SimOutcome>> = configs.iter().map(|_| None).collect();
-    let bank: Vec<usize> = (0..configs.len())
-        .filter(|&i| configs[i].fault_rate_ppm() == 0)
-        .collect();
-    if !bank.is_empty() {
-        let mut sinks: Vec<DataFreeSink> = bank
-            .iter()
-            .map(|&i| DataFreeSink::new(configs[i]))
-            .collect();
-        for (i, r) in trace.iter().enumerate() {
-            if i % CANCEL_POLL_REFS == 0 && cancel.is_cancelled() {
-                return None;
-            }
-            for sink in &mut sinks {
-                sink.record(r);
-            }
-        }
-        let summary = trace.summary();
-        for (&i, sink) in bank.iter().zip(sinks) {
-            outcomes[i] = Some(sink.settle(summary));
-        }
-    }
-    for (i, config) in configs.iter().enumerate() {
-        if outcomes[i].is_none() {
-            outcomes[i] = Some(replay_cancellable(trace, config, cancel)?);
-        }
-    }
-    if cancel.is_cancelled() {
-        return None;
-    }
-    Some(
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every configuration was settled or replayed"))
-            .collect(),
+/// Final-flush epilogue of the data-carrying engine: flush the cache
+/// (flush stop), split traffic into execution-only vs total, and hand
+/// the probe back.
+fn settle<P: Probe>(sink: CacheSink<P>, summary: TraceSummary) -> (SimOutcome, P) {
+    let mut cache = sink.into_cache();
+    let traffic_execution = cache.traffic();
+    cache.flush();
+    let stats = *cache.stats();
+    let traffic_total = cache.traffic();
+    let (_, probe) = cache.into_parts();
+    (
+        SimOutcome {
+            summary,
+            stats,
+            traffic_execution,
+            traffic_total,
+        },
+        probe,
     )
 }
 
 // ---------------------------------------------------------------------
-// Sharded and streamed drivers (the parallel banked engine)
+// The sweep driver and its two plans
 // ---------------------------------------------------------------------
 
-/// As [`simulate_many_cancellable`], but executed as stealable shards
-/// on up to `threads` workers via [`run_shards`]: fault-free
-/// configurations are grouped into banked [`DataFreeSink`] shards (each
-/// shard decodes the trace once for its group), fault-injecting ones
-/// become one full-replay shard each. Results are reassembled by
-/// configuration index, so the outcome vector is identical to
-/// [`simulate_many`]'s — and to itself — at every thread count and
-/// steal order.
+/// Simulates every configuration in `configs` over one `source`,
+/// returning outcomes in `configs` order — identical to per-
+/// configuration [`simulate_probed`] runs, at every `threads` value.
 ///
-/// Returns `(None, report)` if `cancel` trips mid-sweep (every shard
-/// polls the token, so cancellation latency stays bounded); pass no
-/// token for an uncancellable sweep. `threads <= 1` runs the whole bank
-/// inline as one shard — exactly the serial banked pass.
-pub fn simulate_many_sharded(
-    trace: &RecordedTrace,
+/// The plan follows from the source: a [`Source::Recorded`] trace runs
+/// the sharded plan ([`simulate_many_sharded`]) on up to `threads`
+/// work-stealing workers; a [`Source::Live`] workload runs its
+/// generator once and streams bounded chunks of references through the
+/// whole bank, split over `threads` workers per chunk, so no recording
+/// is ever held. The streamed plan runs no shards: its [`ShardReport`]
+/// is empty.
+///
+/// Returns `(None, report)` if `cancel` trips before the sweep
+/// finishes; the partial bank is discarded, never settled. A recorded
+/// sweep stops mid-replay; a live generator cannot be stopped, so it
+/// runs to the end with the bank no longer fed.
+///
+/// # Examples
+///
+/// ```
+/// use cwp_cache::CacheConfig;
+/// use cwp_core::sim::{simulate, sweep, Source};
+/// use cwp_trace::{workloads, RecordedTrace, Scale};
+///
+/// let w = workloads::grr();
+/// let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
+/// let configs = [CacheConfig::default()];
+/// let live = simulate(w.as_ref(), Scale::Test, &configs[0]);
+/// for source in [Source::Recorded(&trace), Source::Live(w.as_ref(), Scale::Test)] {
+///     let (outcomes, _) = sweep(source, &configs, 2, None);
+///     assert_eq!(outcomes.unwrap()[0], live);
+/// }
+/// ```
+pub fn sweep(
+    source: Source<'_>,
     configs: &[CacheConfig],
     threads: usize,
     cancel: Option<&CancelToken>,
 ) -> (Option<Vec<SimOutcome>>, ShardReport) {
-    let threads = threads.max(1);
-    let bank: Vec<usize> = (0..configs.len())
-        .filter(|&i| configs[i].fault_rate_ppm() == 0)
-        .collect();
-    // Shard plan: contiguous groups of the fault-free bank (several per
-    // worker, so stealing can balance uneven groups), then one shard
-    // per fault-injecting configuration.
-    let mut shards: Vec<Vec<usize>> = Vec::new();
-    if !bank.is_empty() {
-        let group = bank.len().div_ceil(threads * 4).max(1);
-        shards.extend(bank.chunks(group).map(|c| c.to_vec()));
-    }
-    shards.extend(
-        (0..configs.len())
-            .filter(|&i| configs[i].fault_rate_ppm() != 0)
-            .map(|i| vec![i]),
-    );
-
-    let summary = trace.summary();
-    let run_shard = |s: usize| -> Option<Vec<(usize, SimOutcome)>> {
-        let members = &shards[s];
-        if members.len() == 1 && configs[members[0]].fault_rate_ppm() != 0 {
-            let i = members[0];
-            let outcome = match cancel {
-                Some(token) => replay_cancellable(trace, &configs[i], token)?,
-                None => replay(trace, &configs[i]),
-            };
-            return Some(vec![(i, outcome)]);
-        }
-        let mut sinks: Vec<DataFreeSink> = members
-            .iter()
-            .map(|&i| DataFreeSink::new(configs[i]))
-            .collect();
-        for (n, r) in trace.iter().enumerate() {
-            if n % CANCEL_POLL_REFS == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
-                return None;
-            }
-            for sink in &mut sinks {
-                sink.record(r);
-            }
-        }
-        Some(
-            members
-                .iter()
-                .zip(sinks)
-                .map(|(&i, sink)| (i, sink.settle(summary)))
-                .collect(),
-        )
-    };
-
-    let (shard_results, report) = run_shards(shards.len(), threads, run_shard);
-    let mut outcomes: Vec<Option<SimOutcome>> = configs.iter().map(|_| None).collect();
-    for group in shard_results {
-        let Some(group) = group else {
-            return (None, report);
-        };
-        for (i, outcome) in group {
-            outcomes[i] = Some(outcome);
+    match source {
+        Source::Recorded(trace) => simulate_many_sharded(trace, configs, threads, cancel),
+        Source::Live(workload, scale) => {
+            let bank = configs.iter().map(|&c| BankSink::new(c)).collect();
+            let outcomes = run_streamed(workload, scale, bank, threads, cancel);
+            (outcomes, ShardReport::default())
         }
     }
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return (None, report);
-    }
-    (
-        Some(
-            outcomes
-                .into_iter()
-                .map(|o| o.expect("every configuration was sharded"))
-                .collect(),
-        ),
-        report,
-    )
 }
 
-/// How many references the streamed driver buffers before fanning a
-/// chunk out to its sinks: bounds live memory to one chunk
-/// (~[`STREAM_CHUNK_REFS`] × 16 B) however long the workload runs.
-const STREAM_CHUNK_REFS: usize = cwp_trace::CHUNK_REFS;
-
-/// A bank sink for the streamed pass: data-free where possible, the
-/// full data-carrying engine for fault-injecting configurations.
-enum StreamSink {
+/// One member of a streamed sweep's configuration bank: the data-free
+/// SoA engine where the statistics allow it, the data-carrying engine
+/// for fault-injecting configurations, whose statistics depend on the
+/// bytes. A recorded shard's bank is one engine throughout, so it holds
+/// the engines directly (see [`replay_polled`]).
+enum BankSink {
     Free(Box<DataFreeSink>),
     Full(Box<CacheSink>),
     /// Test-only instrumented sink: counts the chunks it was fed and
@@ -515,13 +359,21 @@ enum StreamSink {
     },
 }
 
-impl StreamSink {
+impl BankSink {
+    fn new(config: CacheConfig) -> Self {
+        if config.fault_rate_ppm() == 0 {
+            BankSink::Free(Box::new(DataFreeSink::new(config)))
+        } else {
+            BankSink::Full(Box::new(CacheSink::new(config)))
+        }
+    }
+
     fn feed(&mut self, chunk: &[MemRef]) {
         match self {
-            StreamSink::Free(sink) => chunk.iter().for_each(|&r| sink.record(r)),
-            StreamSink::Full(sink) => chunk.iter().for_each(|&r| sink.record(r)),
+            BankSink::Free(sink) => chunk.iter().for_each(|&r| sink.record(r)),
+            BankSink::Full(sink) => chunk.iter().for_each(|&r| sink.record(r)),
             #[cfg(test)]
-            StreamSink::Probe { fed, stall, inner } => {
+            BankSink::Probe { fed, stall, inner } => {
                 if !stall.is_zero() {
                     std::thread::sleep(*stall);
                 }
@@ -533,20 +385,118 @@ impl StreamSink {
 
     fn settle(self, summary: TraceSummary) -> SimOutcome {
         match self {
-            StreamSink::Free(sink) => sink.settle(summary),
-            StreamSink::Full(sink) => settle(*sink, summary).0,
+            BankSink::Free(sink) => sink.settle(summary),
+            BankSink::Full(sink) => settle(*sink, summary).0,
             #[cfg(test)]
-            StreamSink::Probe { inner, .. } => inner.settle(summary),
+            BankSink::Probe { inner, .. } => inner.settle(summary),
         }
     }
 }
+
+/// The recorded plan of [`sweep`], executed as stealable shards on up
+/// to `threads` workers via [`run_shards`]: fault-free configurations
+/// are grouped into data-free banks (each shard decodes the trace once
+/// for its group), and each fault-injecting one becomes a one-member
+/// bank on the data-carrying engine. Every shard replays the trace once
+/// through its whole bank, polling `cancel` every 4096 references.
+/// Results are reassembled by configuration index, so the outcome
+/// vector is identical at every thread count and steal order;
+/// `threads <= 1` runs the whole plan inline.
+///
+/// Returns `(None, report)` if `cancel` trips mid-sweep; pass no token
+/// for an uncancellable sweep.
+pub fn simulate_many_sharded(
+    trace: &RecordedTrace,
+    configs: &[CacheConfig],
+    threads: usize,
+    cancel: Option<&CancelToken>,
+) -> (Option<Vec<SimOutcome>>, ShardReport) {
+    let threads = threads.max(1);
+    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+    let (free, faulty): (Vec<usize>, Vec<usize>) =
+        (0..configs.len()).partition(|&i| configs[i].fault_rate_ppm() == 0);
+    // Shard plan: contiguous groups of the fault-free bank (several per
+    // worker, so stealing can balance uneven groups), then one shard
+    // per fault-injecting configuration.
+    let mut shards: Vec<Vec<usize>> = Vec::new();
+    if !free.is_empty() {
+        let group = free.len().div_ceil(threads * 4);
+        shards.extend(free.chunks(group).map(<[usize]>::to_vec));
+    }
+    shards.extend(faulty.into_iter().map(|i| vec![i]));
+
+    let summary = trace.summary();
+    let run_shard = |s: usize| -> Option<Vec<(usize, SimOutcome)>> {
+        let members = &shards[s];
+        let outcomes: Vec<SimOutcome> = match members[..] {
+            [i] if configs[i].fault_rate_ppm() != 0 => {
+                let mut bank = [CacheSink::new(configs[i])];
+                replay_polled(trace, &mut bank, cancel)?;
+                let [sink] = bank;
+                vec![settle(sink, summary).0]
+            }
+            _ => {
+                let mut bank: Vec<DataFreeSink> = members
+                    .iter()
+                    .map(|&i| DataFreeSink::new(configs[i]))
+                    .collect();
+                replay_polled(trace, &mut bank, cancel)?;
+                bank.into_iter().map(|sink| sink.settle(summary)).collect()
+            }
+        };
+        Some(members.iter().copied().zip(outcomes).collect())
+    };
+
+    let (shard_results, report) = run_shards(shards.len(), threads, run_shard);
+    let mut outcomes: Vec<Option<SimOutcome>> = configs.iter().map(|_| None).collect();
+    for group in shard_results {
+        let Some(group) = group else {
+            return (None, report);
+        };
+        for (i, outcome) in group {
+            outcomes[i] = Some(outcome);
+        }
+    }
+    if cancelled() {
+        return (None, report);
+    }
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every configuration was sharded"));
+    (Some(outcomes.collect()), report)
+}
+
+/// Replays `trace` once through every sink of a one-engine `bank`,
+/// polling `cancel` every [`CANCEL_POLL_REFS`] references; `None` once
+/// it trips. The bank is homogeneous so the per-reference feed
+/// dispatches statically.
+fn replay_polled<S: TraceSink>(
+    trace: &RecordedTrace,
+    bank: &mut [S],
+    cancel: Option<&CancelToken>,
+) -> Option<()> {
+    for (n, r) in trace.iter().enumerate() {
+        if n % CANCEL_POLL_REFS == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
+            return None;
+        }
+        for sink in bank.iter_mut() {
+            sink.record(r);
+        }
+    }
+    Some(())
+}
+
+/// How many references the streamed plan buffers before fanning a
+/// chunk out to its bank: bounds live memory to one chunk
+/// (~[`STREAM_CHUNK_REFS`] × 16 B) however long the workload runs.
+const STREAM_CHUNK_REFS: usize = cwp_trace::CHUNK_REFS;
 
 /// The tee driven by the live generator: buffers one chunk of
 /// references, then broadcasts it to every sink — on `threads` workers
 /// when asked — and recycles the buffer.
 struct ChunkedTee<'a> {
     buffer: Vec<MemRef>,
-    sinks: &'a mut [StreamSink],
+    sinks: &'a mut [BankSink],
     threads: usize,
     /// Checked at every chunk boundary; cancellation latency is thus
     /// bounded by one chunk plus one (possibly stalled) feed.
@@ -605,73 +555,27 @@ impl TraceSink for ChunkedTee<'_> {
     }
 }
 
-/// As [`simulate_many`], but *streamed*: the workload generator runs
-/// once, its reference stream is buffered in bounded chunks (never a
-/// whole recording), and each chunk is broadcast to the whole
-/// configuration bank — on `threads` workers when `threads > 1`. This
-/// is the fan-out path for traces too large for the
-/// [`TraceStore`](crate::store::TraceStore) budget: a paper-scale
-/// workload streams through one ~16 MiB chunk buffer instead of needing
-/// a multi-GiB resident recording, and still pays one generator pass
-/// for the whole sweep.
+/// The streamed plan of [`sweep`]: runs `workload` once through a
+/// [`ChunkedTee`] over `bank` and settles every member. A paper-scale
+/// workload streams through one ~16 MiB chunk buffer instead of a
+/// multi-GiB resident recording, and still pays one generator pass for
+/// the whole sweep.
 ///
-/// Outcomes are identical to per-configuration [`simulate`] calls (and
-/// to [`simulate_many`] over a recording of the same run) at every
-/// thread count.
-pub fn simulate_many_streamed(
+/// The tee polls `cancel` at every chunk boundary; once it fires, the
+/// bank is never fed again and the run returns `None`.
+fn run_streamed(
     workload: &dyn Workload,
     scale: Scale,
-    configs: &[CacheConfig],
-    threads: usize,
-) -> Vec<SimOutcome> {
-    simulate_many_streamed_cancellable(workload, scale, configs, threads, None)
-        .expect("a streamed sweep without a cancel token always completes")
-}
-
-/// As [`simulate_many_streamed`], but abortable: the tee polls `cancel`
-/// at every chunk boundary and, once it fires, stops feeding the sink
-/// bank — remaining chunks are dropped at buffer-clear speed, so a
-/// cancelled sweep never waits on a stalled consumer for more than the
-/// one chunk already in flight. Returns `None` when the run was
-/// cancelled (the partial bank is discarded, never settled), `Some`
-/// with outcomes identical to [`simulate_many_streamed`] otherwise.
-pub fn simulate_many_streamed_cancellable(
-    workload: &dyn Workload,
-    scale: Scale,
-    configs: &[CacheConfig],
+    mut bank: Vec<BankSink>,
     threads: usize,
     cancel: Option<&CancelToken>,
 ) -> Option<Vec<SimOutcome>> {
     if cancel.is_some_and(CancelToken::is_cancelled) {
         return None;
     }
-    let mut sinks: Vec<StreamSink> = configs
-        .iter()
-        .map(|config| {
-            if config.fault_rate_ppm() == 0 {
-                StreamSink::Free(Box::new(DataFreeSink::new(*config)))
-            } else {
-                StreamSink::Full(Box::new(CacheSink::new(*config)))
-            }
-        })
-        .collect();
-    run_streamed_over(workload, scale, &mut sinks, threads, cancel)
-        .map(|summary| sinks.into_iter().map(|sink| sink.settle(summary)).collect())
-}
-
-/// Drives the workload through a [`ChunkedTee`] over an existing sink
-/// bank. Returns the trace summary, or `None` when the run was
-/// cancelled (the bank must then be discarded, not settled).
-fn run_streamed_over(
-    workload: &dyn Workload,
-    scale: Scale,
-    sinks: &mut [StreamSink],
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Option<TraceSummary> {
     let mut tee = ChunkedTee {
         buffer: Vec::new(),
-        sinks,
+        sinks: &mut bank,
         threads,
         cancel,
         cancelled: false,
@@ -681,7 +585,7 @@ fn run_streamed_over(
     if tee.cancelled {
         return None;
     }
-    Some(summary)
+    Some(bank.into_iter().map(|sink| sink.settle(summary)).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -693,12 +597,12 @@ fn run_streamed_over(
 /// touched set(s) after each one. Violations are remembered (first one
 /// wins) rather than panicking, so the trace drive completes and the
 /// caller can surface a typed error.
-struct AuditingSink<'a> {
-    inner: &'a mut CacheSink<InvariantAuditor>,
+struct AuditingSink {
+    inner: CacheSink<InvariantAuditor>,
     first_violation: Option<String>,
 }
 
-impl TraceSink for AuditingSink<'_> {
+impl TraceSink for AuditingSink {
     fn record(&mut self, r: MemRef) {
         self.inner.record(r);
         if self.first_violation.is_none() {
@@ -709,93 +613,55 @@ impl TraceSink for AuditingSink<'_> {
     }
 }
 
-/// Shared epilogue of the audited drivers: surface per-reference mask
-/// violations, settle, then run the auditor's online checks and its
-/// event-vs-counter reconciliation.
-fn settle_audited(
-    sink: CacheSink<InvariantAuditor>,
-    summary: TraceSummary,
-    first_violation: Option<String>,
-) -> Result<SimOutcome, CwpError> {
-    if let Some(detail) = first_violation {
+/// As [`simulate_probed`], but with the full invariant audit enabled:
+/// an [`InvariantAuditor`] probe re-derives every counter and traffic
+/// class from the event stream and checks conservation laws, and the
+/// engine's sub-block mask laws are re-verified after every reference.
+///
+/// The outcome is identical to [`simulate_probed`]'s — auditing
+/// observes, it never steers — so `figures --audit` output is
+/// byte-identical to an unaudited run.
+///
+/// # Errors
+///
+/// [`CwpError::InvariantViolation`] describing the first broken law.
+pub fn simulate_audited(source: Source<'_>, config: &CacheConfig) -> Result<SimOutcome, CwpError> {
+    let mut audit = AuditingSink {
+        inner: CacheSink::with_probe(*config, InvariantAuditor::new(config)),
+        first_violation: None,
+    };
+    let summary = source.drive(&mut audit);
+    if let Some(detail) = audit.first_violation {
         return Err(CwpError::InvariantViolation { detail });
     }
-    let (outcome, auditor) = settle(sink, summary);
+    let (outcome, auditor) = settle(audit.inner, summary);
     auditor.check()?;
     auditor.reconcile(&outcome.stats, &outcome.traffic_total)?;
     Ok(outcome)
 }
 
-/// As [`simulate`], but with the full invariant audit enabled: an
-/// [`InvariantAuditor`] probe re-derives every counter and traffic class
-/// from the event stream and checks conservation laws, and the engine's
-/// sub-block mask laws are re-verified after every reference.
-///
-/// The outcome is identical to [`simulate`]'s — auditing observes, it
-/// never steers — so `figures --audit` output is byte-identical to an
-/// unaudited run.
-///
-/// # Errors
-///
-/// [`CwpError::InvariantViolation`] describing the first broken law.
-pub fn simulate_audited(
-    workload: &dyn Workload,
-    scale: Scale,
-    config: &CacheConfig,
-) -> Result<SimOutcome, CwpError> {
-    let mut sink = CacheSink::with_probe(*config, InvariantAuditor::new(config));
-    let mut audit = AuditingSink {
-        inner: &mut sink,
-        first_violation: None,
-    };
-    let summary = workload.run(scale, &mut audit);
-    let first_violation = audit.first_violation.take();
-    settle_audited(sink, summary, first_violation)
-}
-
-/// As [`replay`], but with the full invariant audit enabled. See
-/// [`simulate_audited`].
-///
-/// # Errors
-///
-/// [`CwpError::InvariantViolation`] describing the first broken law.
-pub fn replay_audited(trace: &RecordedTrace, config: &CacheConfig) -> Result<SimOutcome, CwpError> {
-    let mut sink = CacheSink::with_probe(*config, InvariantAuditor::new(config));
-    let mut audit = AuditingSink {
-        inner: &mut sink,
-        first_violation: None,
-    };
-    let summary = trace.replay(&mut audit);
-    let first_violation = audit.first_violation.take();
-    settle_audited(sink, summary, first_violation)
-}
-
-/// As [`simulate_many`], but audited: besides running the banked pass,
-/// every configuration is *also* replayed singly under a full audit and
-/// the two outcomes are required to match exactly — the "stats deltas
-/// sum across a banked pass exactly as they do run singly" conservation
+/// As [`sweep`], but audited: besides running the banked sweep, every
+/// configuration is *also* driven singly under a full audit and the two
+/// outcomes are required to match exactly — the "stats deltas sum
+/// across a banked pass exactly as they do run singly" conservation
 /// law. Roughly doubles the cost; only the `--audit` paths use it.
 ///
 /// # Errors
 ///
-/// [`CwpError::InvariantViolation`] if any audited single replay breaks
-/// a law, or if a banked outcome differs from its single-replay twin.
+/// [`CwpError::InvariantViolation`] if any audited single run breaks a
+/// law, or if a banked outcome differs from its single-run twin.
 pub fn simulate_many_audited(
-    trace: &RecordedTrace,
+    source: Source<'_>,
     configs: &[CacheConfig],
 ) -> Result<Vec<SimOutcome>, CwpError> {
-    let banked = simulate_many(trace, configs);
+    let banked = sweep(source, configs, 1, None)
+        .0
+        .expect("an uncancellable sweep always completes");
     for (outcome, config) in banked.iter().zip(configs) {
-        let solo = replay_audited(trace, config)?;
-        if solo.summary != outcome.summary
-            || solo.stats != outcome.stats
-            || solo.traffic_execution != outcome.traffic_execution
-            || solo.traffic_total != outcome.traffic_total
-        {
+        if simulate_audited(source, config)? != *outcome {
             return Err(CwpError::InvariantViolation {
                 detail: format!(
-                    "banked simulate_many outcome diverges from its audited single \
-                     replay for {config}"
+                    "banked sweep outcome diverges from its audited single run for {config}"
                 ),
             });
         }
@@ -808,6 +674,19 @@ mod tests {
     use super::*;
     use cwp_cache::{WriteHitPolicy, WriteMissPolicy};
     use cwp_trace::workloads;
+
+    const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+    /// A fault-injecting configuration: runs on the data-carrying
+    /// engine inside every bank.
+    fn faulty(seed: u64) -> CacheConfig {
+        CacheConfig::builder()
+            .size_bytes(1024)
+            .fault_rate_ppm(5_000)
+            .fault_seed(seed)
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn simulate_accounts_for_every_reference() {
@@ -863,16 +742,14 @@ mod tests {
         let w = workloads::yacc();
         let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
         let config = CacheConfig::default();
-        let live = simulate(w.as_ref(), Scale::Test, &config);
-        let replayed = replay(&trace, &config);
-        assert_eq!(live.summary, replayed.summary);
-        assert_eq!(live.stats, replayed.stats);
-        assert_eq!(live.traffic_execution, replayed.traffic_execution);
-        assert_eq!(live.traffic_total, replayed.traffic_total);
+        assert_eq!(
+            simulate(w.as_ref(), Scale::Test, &config),
+            replay(&trace, &config)
+        );
     }
 
     #[test]
-    fn simulate_many_matches_per_config_replay() {
+    fn sweep_matches_per_config_replay_for_every_source_thread_count_and_token() {
         let w = workloads::liver();
         let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
         let configs = [
@@ -883,22 +760,28 @@ mod tests {
                 .build()
                 .unwrap(),
             CacheConfig::builder().size_bytes(1024).build().unwrap(),
+            faulty(3),
         ];
-        let fanned = simulate_many(&trace, &configs);
-        assert_eq!(fanned.len(), configs.len());
-        for (outcome, config) in fanned.iter().zip(&configs) {
-            let solo = replay(&trace, config);
-            assert_eq!(outcome.summary, solo.summary);
-            assert_eq!(outcome.stats, solo.stats);
-            assert_eq!(outcome.traffic_execution, solo.traffic_execution);
-            assert_eq!(outcome.traffic_total, solo.traffic_total);
+        let golden: Vec<SimOutcome> = configs.iter().map(|c| replay(&trace, c)).collect();
+        let quiet = CancelToken::new();
+        for source in [
+            Source::Recorded(&trace),
+            Source::Live(w.as_ref(), Scale::Test),
+        ] {
+            for threads in THREAD_COUNTS {
+                for cancel in [None, Some(&quiet)] {
+                    let (fanned, _) = sweep(source, &configs, threads, cancel);
+                    let fanned = fanned.expect("an untripped sweep completes");
+                    assert_eq!(fanned, golden, "{threads} threads");
+                }
+            }
         }
     }
 
     #[test]
-    fn data_free_bank_matches_the_golden_engine_across_every_policy() {
+    fn soa_bank_matches_the_golden_engine_across_every_policy() {
         // The data-free fast path must be indistinguishable from the
-        // data-carrying engine wherever simulate_many may use it: every
+        // data-carrying engine wherever a sweep may use it: every
         // write-hit x write-miss combination, plus set-associative and
         // narrow/wide-line geometries that stress victim selection and
         // sub-block masks.
@@ -933,16 +816,11 @@ mod tests {
                     .unwrap(),
             );
         }
-        let fanned = simulate_many(&trace, &configs);
+        let fanned = sweep(Source::Recorded(&trace), &configs, 1, None)
+            .0
+            .unwrap();
         for (outcome, config) in fanned.iter().zip(&configs) {
-            let golden = replay(&trace, config);
-            assert_eq!(outcome.summary, golden.summary, "{config:?}");
-            assert_eq!(outcome.stats, golden.stats, "{config:?}");
-            assert_eq!(
-                outcome.traffic_execution, golden.traffic_execution,
-                "{config:?}"
-            );
-            assert_eq!(outcome.traffic_total, golden.traffic_total, "{config:?}");
+            assert_eq!(*outcome, replay(&trace, config), "{config:?}");
         }
     }
 
@@ -950,54 +828,26 @@ mod tests {
     fn fault_injecting_configs_fall_back_to_the_full_engine() {
         let w = workloads::grr();
         let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
-        let faulty = CacheConfig::builder()
-            .size_bytes(1024)
-            .fault_rate_ppm(5_000)
-            .fault_seed(7)
-            .build()
-            .unwrap();
         let clean = CacheConfig::builder().size_bytes(1024).build().unwrap();
-        let fanned = simulate_many(&trace, &[faulty, clean]);
-        let golden = replay(&trace, &faulty);
+        let golden = replay(&trace, &faulty(7));
         assert!(
-            fanned[0].stats.faults.injected > 0,
+            golden.stats.faults.injected > 0,
             "the faulty config must actually inject"
         );
-        assert_eq!(fanned[0].stats, golden.stats);
-        assert_eq!(fanned[0].traffic_total, golden.traffic_total);
-        assert_eq!(fanned[1].stats, replay(&trace, &clean).stats);
+        for source in [
+            Source::Recorded(&trace),
+            Source::Live(w.as_ref(), Scale::Test),
+        ] {
+            let fanned = sweep(source, &[faulty(7), clean], 2, None).0.unwrap();
+            assert_eq!(fanned[0], golden);
+            assert_eq!(fanned[1], replay(&trace, &clean));
+        }
     }
 
     #[test]
     #[should_panic(expected = "cannot model fault injection")]
-    fn data_free_sink_rejects_fault_injection() {
-        let config = CacheConfig::builder().fault_rate_ppm(1).build().unwrap();
-        let _ = CacheSink::data_free(config);
-    }
-
-    #[test]
-    fn cancellable_drivers_match_their_plain_twins_when_not_cancelled() {
-        let w = workloads::met();
-        let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
-        let configs = [
-            CacheConfig::default(),
-            CacheConfig::builder()
-                .size_bytes(1024)
-                .fault_rate_ppm(5_000)
-                .fault_seed(3)
-                .build()
-                .unwrap(),
-        ];
-        let token = CancelToken::new();
-        let solo = replay_cancellable(&trace, &configs[0], &token).unwrap();
-        assert_eq!(solo.stats, replay(&trace, &configs[0]).stats);
-        let fanned = simulate_many_cancellable(&trace, &configs, &token).unwrap();
-        let plain = simulate_many(&trace, &configs);
-        for (a, b) in fanned.iter().zip(&plain) {
-            assert_eq!(a.summary, b.summary);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.traffic_total, b.traffic_total);
-        }
+    fn free_sink_rejects_fault_injection() {
+        let _ = DataFreeSink::new(faulty(1));
     }
 
     #[test]
@@ -1006,8 +856,17 @@ mod tests {
         let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
         let token = CancelToken::new();
         token.cancel();
-        assert!(replay_cancellable(&trace, &CacheConfig::default(), &token).is_none());
-        assert!(simulate_many_cancellable(&trace, &[CacheConfig::default()], &token).is_none());
+        for source in [
+            Source::Recorded(&trace),
+            Source::Live(w.as_ref(), Scale::Test),
+        ] {
+            for threads in THREAD_COUNTS {
+                for configs in [&[CacheConfig::default()][..], &[faulty(3)]] {
+                    let (outcomes, _) = sweep(source, configs, threads, Some(&token));
+                    assert!(outcomes.is_none(), "{threads} threads");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1021,12 +880,7 @@ mod tests {
                 .write_miss(WriteMissPolicy::WriteAround)
                 .build()
                 .unwrap(),
-            CacheConfig::builder()
-                .size_bytes(1024)
-                .fault_rate_ppm(5_000)
-                .fault_seed(11)
-                .build()
-                .unwrap(),
+            faulty(11),
         ];
         for shift in 0..5 {
             configs.push(
@@ -1036,20 +890,11 @@ mod tests {
                     .unwrap(),
             );
         }
-        let serial = simulate_many(&trace, &configs);
-        for threads in [1, 2, 8] {
+        let serial: Vec<SimOutcome> = configs.iter().map(|c| replay(&trace, c)).collect();
+        for threads in THREAD_COUNTS {
             let (outcomes, report) = simulate_many_sharded(&trace, &configs, threads, None);
             let outcomes = outcomes.expect("no token, no cancellation");
-            assert_eq!(outcomes.len(), configs.len(), "{threads} threads");
-            for (a, b) in outcomes.iter().zip(&serial) {
-                assert_eq!(a.summary, b.summary, "{threads} threads");
-                assert_eq!(a.stats, b.stats, "{threads} threads");
-                assert_eq!(
-                    a.traffic_execution, b.traffic_execution,
-                    "{threads} threads"
-                );
-                assert_eq!(a.traffic_total, b.traffic_total, "{threads} threads");
-            }
+            assert_eq!(outcomes, serial, "{threads} threads");
             assert!(report.executed > 0);
             assert_eq!(report.shard_us.len() as u64, report.executed);
         }
@@ -1068,9 +913,10 @@ mod tests {
 
     #[test]
     fn streamed_sweep_matches_per_config_live_runs() {
-        // The streamed driver never materializes a recording, yet must
+        // The streamed plan never materializes a recording, yet must
         // produce exactly what per-config live simulation produces —
-        // including for fault-injecting configs on the full engine.
+        // including for fault-injecting configs on the full engine —
+        // and runs no shards.
         let configs = [
             CacheConfig::default(),
             CacheConfig::builder()
@@ -1078,25 +924,25 @@ mod tests {
                 .write_miss(WriteMissPolicy::WriteValidate)
                 .build()
                 .unwrap(),
-            CacheConfig::builder()
-                .size_bytes(1024)
-                .fault_rate_ppm(5_000)
-                .fault_seed(9)
-                .build()
-                .unwrap(),
+            faulty(9),
         ];
-        for threads in [1, 4] {
-            let w = workloads::grr();
-            let streamed = simulate_many_streamed(w.as_ref(), Scale::Test, &configs, threads);
-            assert_eq!(streamed.len(), configs.len());
-            for (outcome, config) in streamed.iter().zip(&configs) {
-                let live = simulate(workloads::grr().as_ref(), Scale::Test, config);
-                assert_eq!(outcome.summary, live.summary, "{threads} threads");
-                assert_eq!(outcome.stats, live.stats, "{threads} threads");
-                assert_eq!(
-                    outcome.traffic_total, live.traffic_total,
-                    "{threads} threads"
+        let w = workloads::grr();
+        let live: Vec<SimOutcome> = configs
+            .iter()
+            .map(|c| simulate(w.as_ref(), Scale::Test, c))
+            .collect();
+        let quiet = CancelToken::new();
+        for threads in THREAD_COUNTS {
+            for cancel in [None, Some(&quiet)] {
+                let (streamed, report) = sweep(
+                    Source::Live(w.as_ref(), Scale::Test),
+                    &configs,
+                    threads,
+                    cancel,
                 );
+                assert_eq!(streamed.unwrap(), live, "{threads} threads");
+                assert_eq!((report.executed, report.stolen), (0, 0));
+                assert!(report.shard_us.is_empty());
             }
         }
     }
@@ -1140,32 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_cancellable_with_no_token_matches_the_plain_driver() {
-        let configs = [
-            CacheConfig::default(),
-            CacheConfig::builder().size_bytes(1024).build().unwrap(),
-        ];
-        let w = workloads::yacc();
-        let plain = simulate_many_streamed(w.as_ref(), Scale::Test, &configs, 2);
-        let cancellable =
-            simulate_many_streamed_cancellable(w.as_ref(), Scale::Test, &configs, 2, None)
-                .expect("no token, must complete");
-        for (a, b) in plain.iter().zip(&cancellable) {
-            assert_eq!(a.summary, b.summary);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.traffic_total, b.traffic_total);
-        }
-        // A live-but-quiet token is equally inert.
-        let quiet = CancelToken::new();
-        let with_token =
-            simulate_many_streamed_cancellable(w.as_ref(), Scale::Test, &configs, 2, Some(&quiet))
-                .expect("token never fired, must complete");
-        for (a, b) in plain.iter().zip(&with_token) {
-            assert_eq!(a.stats, b.stats);
-        }
-    }
-
-    #[test]
     fn streamed_sweep_cancelled_mid_stream_returns_none() {
         let token = CancelToken::new();
         let w = CancelMidway {
@@ -1173,25 +993,9 @@ mod tests {
             refs: STREAM_CHUNK_REFS * 4,
             cancel_at: STREAM_CHUNK_REFS + STREAM_CHUNK_REFS / 2,
         };
-        let outcome = simulate_many_streamed_cancellable(
-            &w,
-            Scale::Test,
-            &[CacheConfig::default()],
-            1,
-            Some(&token),
-        );
+        let source = Source::Live(&w, Scale::Test);
+        let (outcome, _) = sweep(source, &[CacheConfig::default()], 1, Some(&token));
         assert!(outcome.is_none(), "a cancelled sweep must not settle");
-        // Pre-cancelled tokens short-circuit before any work.
-        let dead = CancelToken::new();
-        dead.cancel();
-        assert!(simulate_many_streamed_cancellable(
-            &w,
-            Scale::Test,
-            &[CacheConfig::default()],
-            1,
-            Some(&dead),
-        )
-        .is_none());
     }
 
     #[test]
@@ -1204,7 +1008,7 @@ mod tests {
         use std::sync::Arc;
 
         let fed = Arc::new(AtomicU64::new(0));
-        let mut sinks = vec![StreamSink::Probe {
+        let bank = vec![BankSink::Probe {
             fed: Arc::clone(&fed),
             stall: std::time::Duration::from_millis(5),
             inner: Box::new(DataFreeSink::new(CacheConfig::default())),
@@ -1216,8 +1020,8 @@ mod tests {
             // Fire just after the first chunk flushes.
             cancel_at: STREAM_CHUNK_REFS + 1,
         };
-        let summary = run_streamed_over(&w, Scale::Test, &mut sinks, 1, Some(&token));
-        assert!(summary.is_none(), "cancelled run must report cancellation");
+        let outcomes = run_streamed(&w, Scale::Test, bank, 1, Some(&token));
+        assert!(outcomes.is_none(), "cancelled run must report cancellation");
         assert_eq!(
             fed.load(Ordering::SeqCst),
             1,
@@ -1253,27 +1057,21 @@ mod tests {
                 else {
                     continue;
                 };
-                let plain = replay(&trace, &config);
-                let audited = replay_audited(&trace, &config)
+                let audited = simulate_audited(Source::Recorded(&trace), &config)
                     .unwrap_or_else(|e| panic!("audit failed for {config}: {e}"));
-                assert_eq!(plain.summary, audited.summary);
-                assert_eq!(plain.stats, audited.stats);
-                assert_eq!(plain.traffic_execution, audited.traffic_execution);
-                assert_eq!(plain.traffic_total, audited.traffic_total);
+                assert_eq!(replay(&trace, &config), audited);
             }
         }
     }
 
     #[test]
-    fn simulate_audited_agrees_with_replay_audited() {
+    fn audited_live_and_recorded_sources_agree() {
         let w = workloads::grr();
         let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
         let config = CacheConfig::default();
-        let live = simulate_audited(w.as_ref(), Scale::Test, &config).unwrap();
-        let replayed = replay_audited(&trace, &config).unwrap();
-        assert_eq!(live.summary, replayed.summary);
-        assert_eq!(live.stats, replayed.stats);
-        assert_eq!(live.traffic_total, replayed.traffic_total);
+        let live = simulate_audited(Source::Live(w.as_ref(), Scale::Test), &config).unwrap();
+        let replayed = simulate_audited(Source::Recorded(&trace), &config).unwrap();
+        assert_eq!(live, replayed);
     }
 
     #[test]
@@ -1289,11 +1087,13 @@ mod tests {
                 .build()
                 .unwrap(),
         ];
-        let banked = simulate_many_audited(&trace, &configs).unwrap();
-        let unaudited = simulate_many(&trace, &configs);
-        for (a, b) in banked.iter().zip(&unaudited) {
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.traffic_total, b.traffic_total);
+        for source in [
+            Source::Recorded(&trace),
+            Source::Live(w.as_ref(), Scale::Test),
+        ] {
+            let banked = simulate_many_audited(source, &configs).unwrap();
+            let unaudited = sweep(source, &configs, 1, None).0.unwrap();
+            assert_eq!(banked, unaudited);
         }
     }
 }

@@ -45,13 +45,16 @@ pub fn backoff_delay(base: Duration, seed: u64, stream: u64, attempt: u32) -> Du
 
 /// A shared cancellation flag.
 ///
-/// Cloning is cheap (one `Arc`); all clones observe the same flag.
+/// Cloning is cheap (two `Arc`s); all clones observe the same flag.
 /// Simulation loops poll [`is_cancelled`](CancelToken::is_cancelled)
 /// every few thousand references, so cancellation latency is bounded
 /// without per-reference overhead.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// Set by [`all_of`](CancelToken::all_of): the token also reads as
+    /// cancelled once every one of these has been.
+    all_of: Arc<[CancelToken]>,
 }
 
 impl CancelToken {
@@ -65,9 +68,22 @@ impl CancelToken {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// `true` once any clone has called [`cancel`](CancelToken::cancel).
+    /// A token that reads as cancelled once *every* one of `members`
+    /// has been (or once it is cancelled itself): work shared by several
+    /// requests stops only when none of them still wants its result.
+    pub fn all_of(members: impl IntoIterator<Item = CancelToken>) -> Self {
+        CancelToken {
+            flag: Arc::default(),
+            all_of: members.into_iter().collect(),
+        }
+    }
+
+    /// `true` once any clone has called [`cancel`](CancelToken::cancel),
+    /// or, for an [`all_of`](CancelToken::all_of) token, once all of its
+    /// members are cancelled.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
+            || (!self.all_of.is_empty() && self.all_of.iter().all(CancelToken::is_cancelled))
     }
 }
 
@@ -303,6 +319,22 @@ mod tests {
         assert!(!clone.is_cancelled());
         token.cancel();
         assert!(clone.is_cancelled());
+    }
+
+    #[test]
+    fn an_all_of_token_trips_only_when_every_member_has() {
+        let (a, b) = (CancelToken::new(), CancelToken::new());
+        let both = CancelToken::all_of([a.clone(), b.clone()]);
+        a.cancel();
+        assert!(!both.is_cancelled(), "b still wants the work");
+        b.cancel();
+        assert!(both.is_cancelled());
+        let own = CancelToken::all_of([CancelToken::new()]);
+        own.cancel();
+        assert!(
+            own.is_cancelled(),
+            "cancelling the token itself still counts"
+        );
     }
 
     #[test]

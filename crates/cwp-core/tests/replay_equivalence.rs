@@ -10,7 +10,7 @@
 //! the two.
 
 use cwp_cache::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
-use cwp_core::{replay, simulate, simulate_many};
+use cwp_core::{replay, simulate, sweep, Source};
 use cwp_trace::io::{TraceReader, TraceWriter};
 use cwp_trace::recorded::{RecordedTrace, TraceRecorder};
 use cwp_trace::{workloads, Scale, TraceSink, Workload};
@@ -93,7 +93,9 @@ fn banked_fanout_over_a_disk_round_trip_matches_live_simulation() {
     let configs = probe_configs();
     for workload in workloads::suite() {
         let trace = disk_round_trip(workload.as_ref());
-        let fanned = simulate_many(&trace, &configs);
+        let fanned = sweep(Source::Recorded(&trace), &configs, 1, None)
+            .0
+            .expect("uncancellable sweep");
         for (outcome, config) in fanned.iter().zip(&configs) {
             let live = simulate(workload.as_ref(), Scale::Test, config);
             let name = workload.name();

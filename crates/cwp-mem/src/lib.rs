@@ -40,7 +40,7 @@ pub mod traffic;
 
 pub use error::CwpError;
 pub use faulty::{FaultyNextLevel, TransitFaultStats};
-pub use memory::{MainMemory, VoidMemory};
+pub use memory::MainMemory;
 pub use next::NextLevel;
 pub use rng::SplitMix64;
 pub use traffic::{Traffic, TrafficClass, TrafficRecorder};

@@ -14,6 +14,10 @@ const PAGE: u64 = 4096;
 /// the golden model for the transparency property tests: any hierarchy of
 /// caches must return the same bytes a bare `MainMemory` would.
 ///
+/// It is the only backing memory: measurement passes that need no data
+/// at all skip it by running `cwp-cache`'s data-free `SoaCache` engine
+/// instead of a cache over an empty memory.
+///
 /// # Examples
 ///
 /// ```
@@ -82,41 +86,6 @@ impl NextLevel for MainMemory {
     }
 }
 
-/// A data-less next level: writes are discarded and every fetch reads
-/// zeros — a [`MainMemory`] that never materializes a page.
-///
-/// Cache statistics and back-side traffic are functions of the address
-/// stream and the configuration alone, so measurement passes that
-/// observe nothing data-dependent (no fault injection, no probe looking
-/// at bytes) can back a cache with `VoidMemory` and skip `MainMemory`'s
-/// per-byte page bookkeeping entirely. The multi-configuration fan-out
-/// in `cwp-core::sim::simulate_many` is the intended consumer; anything
-/// that checks transparency or injects faults must keep a real memory.
-///
-/// # Examples
-///
-/// ```
-/// use cwp_mem::{NextLevel, VoidMemory};
-///
-/// let mut void = VoidMemory;
-/// void.write_through(0x40, &[0xab; 8]);
-/// let mut buf = [0xffu8; 8];
-/// void.fetch_line(0x40, &mut buf);
-/// assert_eq!(buf, [0; 8], "writes vanish; fetches read zero");
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VoidMemory;
-
-impl NextLevel for VoidMemory {
-    fn fetch_line(&mut self, _addr: u64, buf: &mut [u8]) {
-        buf.fill(0);
-    }
-
-    fn write_back(&mut self, _addr: u64, _data: &[u8]) {}
-
-    fn write_through(&mut self, _addr: u64, _data: &[u8]) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,18 +116,6 @@ mod tests {
         let mut buf = [0u8; 2];
         mem.fetch_line(0x40, &mut buf);
         assert_eq!(buf, [5, 6]);
-    }
-
-    #[test]
-    fn void_memory_reads_like_untouched_main_memory() {
-        let mut void = VoidMemory;
-        let mut main = MainMemory::new();
-        void.write_back(0x1000, &[7; 16]);
-        let mut a = [0xaau8; 16];
-        let mut b = [0x55u8; 16];
-        void.fetch_line(0x1000, &mut a);
-        main.fetch_line(0x1000, &mut b);
-        assert_eq!(a, b, "a void fetch matches a never-written MainMemory");
     }
 
     #[test]

@@ -10,18 +10,21 @@
 //!
 //! Workers pull from the [`AdmissionQueue`] highest-priority-first and
 //! coalesce compatible waiting requests (same workload, fault-free
-//! config) into one banked [`simulate_many_sharded`] pass, spread over
-//! [`EngineConfig::sim_threads`] work-stealing shard threads (results
-//! are identical at every thread count). Results are memoized in the
+//! config) into one banked [`sweep`] over the workload's [`Source`],
+//! spread over [`EngineConfig::sim_threads`] threads (results are
+//! identical at every thread count). Results are memoized in the
 //! crash-safe [`MemoStore`] keyed by
 //! `(trace content hash, canonical config JSON)`.
 //!
 //! Graceful degradation: when the [`TraceStore`] cannot hold a
-//! workload's trace even after LRU eviction, the engine falls back to
-//! one streamed generator pass over the whole batch
-//! ([`simulate_many_streamed`]) and flags the responses `degraded` —
-//! slower, but still correct (replay is byte-identical to live
-//! generation by construction).
+//! workload's trace even after LRU eviction, the source is a live
+//! generator run, so the sweep streams one generator pass through the
+//! whole batch and the responses are flagged `degraded` — slower, but
+//! still correct (replay is byte-identical to live generation by
+//! construction). Either way the sweep polls a token that trips once
+//! every request in the pass has passed its deadline: a recorded sweep
+//! then stops mid-replay; a live generator cannot be stopped, so it
+//! runs to the end but feeds the bank nothing more.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cwp_chaos::{ChaosIo, IoHandle, NetFaultPlan};
-use cwp_core::sim::{simulate_many_sharded, simulate_many_streamed};
+use cwp_core::sim::{sweep, Source};
 use cwp_core::store::TraceStore;
 use cwp_core::supervise::{backoff_delay, CancelToken, Supervisor};
 use cwp_mem::SplitMix64;
@@ -53,9 +56,8 @@ pub struct EngineConfig {
     pub scale: Scale,
     /// Worker thread count.
     pub workers: usize,
-    /// Shard threads each worker's banked pass may use (see
-    /// [`simulate_many_sharded`]); responses are identical at every
-    /// value.
+    /// Threads each worker's banked [`sweep`] may use; responses are
+    /// identical at every value.
     pub sim_threads: usize,
     /// Admission queue capacity; pushes past this are shed.
     pub queue_capacity: usize,
@@ -1335,39 +1337,22 @@ fn serve_batch(shared: &Shared, leader: Entry) {
     }
 
     let fault_pending = misses.iter().any(|(entry, _)| shared.injected_fault(entry));
-    let cancel = misses[0].0.cancel.clone();
+    // The pass is abandoned only once no request in it still wants the
+    // result: a follower with time left is served from this pass even
+    // if the leader's deadline fires mid-run.
+    let cancel = CancelToken::all_of(misses.iter().map(|(entry, _)| entry.cancel.clone()));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if fault_pending {
             panic!("injected fault (seed {})", shared.config.seed);
         }
-        match &trace {
-            Some(trace) => {
-                let (outcomes, report) = simulate_many_sharded(
-                    trace,
-                    &configs,
-                    shared.config.sim_threads,
-                    Some(&cancel),
-                );
-                shared.metrics.shards_executed.add(report.executed);
-                shared.metrics.shards_stolen.add(report.stolen);
-                for us in &report.shard_us {
-                    shared.metrics.shard_us.record(*us);
-                }
-                outcomes
-            }
-            None => {
-                // Degraded path: one streamed generator pass feeds the
-                // whole batch. No mid-run cancellation hook; the
-                // deadline watchdog still answers on time and the late
-                // result is dropped.
-                Some(simulate_many_streamed(
-                    workload.as_ref(),
-                    shared.config.scale,
-                    &configs,
-                    shared.config.sim_threads,
-                ))
-            }
+        let source = Source::stored(trace.as_deref(), workload.as_ref(), shared.config.scale);
+        let (outcomes, report) = sweep(source, &configs, shared.config.sim_threads, Some(&cancel));
+        shared.metrics.shards_executed.add(report.executed);
+        shared.metrics.shards_stolen.add(report.stolen);
+        for us in &report.shard_us {
+            shared.metrics.shard_us.record(*us);
         }
+        outcomes
     }));
 
     match outcome {
@@ -1378,15 +1363,11 @@ fn serve_batch(shared: &Shared, leader: Entry) {
             }
         }
         Ok(None) => {
-            // The pass was cancelled: the first miss's deadline fired
-            // mid-run. That entry is settled by the watchdog; the rest
-            // go back to the queue untouched.
+            // The batch token trips only once every miss's deadline has
+            // fired, and the watchdog has answered each of them.
             for (entry, _) in misses {
-                if entry.cancel.is_cancelled() {
-                    shared.sup().complete(entry.seq);
-                } else {
-                    shared.queue.requeue(entry);
-                }
+                debug_assert!(entry.cancel.is_cancelled());
+                shared.sup().complete(entry.seq);
             }
         }
         Ok(Some(outcomes)) => {
@@ -1452,4 +1433,84 @@ fn retry_or_fail(shared: &Shared, entry: Entry) {
     shared
         .sup()
         .release_after(Instant::now() + delay, SupMsg::Retry(Box::new(next)));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Request;
+    use cwp_cache::CacheConfig;
+    use cwp_core::sim::simulate;
+
+    fn config_for(id: u64) -> CacheConfig {
+        CacheConfig::builder()
+            .size_bytes(1024 << id)
+            .build()
+            .unwrap()
+    }
+
+    fn request_line(id: u64, deadline_ms: Option<u64>) -> String {
+        Request {
+            id,
+            workload: "grr".to_string(),
+            config: config_for(id),
+            deadline_ms,
+            priority: 0,
+            req_key: None,
+        }
+        .to_line()
+    }
+
+    #[test]
+    fn an_expired_leader_does_not_abandon_a_live_follower() {
+        // A disabled store makes the pass a degraded live sweep.
+        let mut config = EngineConfig::new(Scale::Test);
+        config.workers = 1;
+        config.trace_budget_bytes = 0;
+        let engine = Engine::start(config).unwrap();
+        // Retire the worker so the batch is served by hand below: a
+        // closed queue still admits, and the idle worker exits.
+        engine.shared.queue.close();
+        for worker in engine.workers.lock().unwrap().drain(..) {
+            worker.join().unwrap();
+        }
+        let (client, responses) = engine.attach_client();
+        engine.submit(client, &request_line(1, Some(1)));
+        engine.submit(client, &request_line(2, None));
+        // The leader's deadline fires while it is still queued, so its
+        // token is tripped before the pass starts.
+        match responses.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Response::Error {
+                id: Some(1),
+                reject: Reject::DeadlineExceeded { .. },
+            } => {}
+            other => panic!("expected the leader's deadline_exceeded, got {other:?}"),
+        }
+        let leader = engine
+            .shared
+            .queue
+            .pop()
+            .expect("the leader is still queued");
+        assert_eq!(leader.request.id, 1);
+        serve_batch(&engine.shared, leader);
+        // The follower still had time: the one pass served it.
+        let expected = ResultSummary::from_outcome(&simulate(
+            workloads::grr().as_ref(),
+            Scale::Test,
+            &config_for(2),
+        ));
+        match responses.try_recv() {
+            Ok(Response::Ok {
+                id: 2,
+                result,
+                degraded: true,
+                coalesced: true,
+                ..
+            }) => assert_eq!(result, expected),
+            other => panic!("expected the follower served from the pass, got {other:?}"),
+        }
+        assert_eq!(engine.queue_depth(), 0, "nothing was requeued");
+        assert_eq!(engine.stats().served, 1);
+        engine.shutdown();
+    }
 }

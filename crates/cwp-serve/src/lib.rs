@@ -9,7 +9,8 @@
 //!   typed `overloaded {retry_after_ms}` rejections.
 //! - **Deadlines & cancellation** ([`engine`]): per-request deadlines
 //!   enforced by the shared [`cwp_core::supervise::Supervisor`]
-//!   watchdog, with cooperative cancellation inside replay loops.
+//!   watchdog, with cooperative cancellation inside every sweep —
+//!   recorded replays and degraded live passes alike.
 //! - **Panic isolation & retry** ([`engine`]): workers run simulations
 //!   under `catch_unwind`; a panicking request is retried with
 //!   deterministic exponential backoff and fails typed, never silently.
@@ -51,7 +52,7 @@ mod tests {
     use std::time::Duration;
 
     use cwp_cache::CacheConfig;
-    use cwp_core::sim::{simulate, simulate_many};
+    use cwp_core::sim::{simulate, sweep, Source};
     use cwp_core::store::TraceStore;
     use cwp_trace::{workloads, Scale};
 
@@ -103,18 +104,15 @@ mod tests {
         let trace = store
             .get_or_record(workloads::by_name("ccom").unwrap().as_ref())
             .unwrap();
-        let direct = simulate_many(
-            &trace,
-            &[CacheConfig::builder().size_bytes(4096).build().unwrap()],
-        );
+        let config = CacheConfig::builder().size_bytes(4096).build().unwrap();
+        let direct = sweep(Source::Recorded(&trace), &[config], 1, None)
+            .0
+            .expect("uncancellable sweep");
         let expected = ResultSummary::from_outcome(&direct[0]);
 
         let (r1, hit1, deg1) = expect_ok(&first);
         let (r2, hit2, deg2) = expect_ok(&second);
-        assert_eq!(
-            r1, &expected,
-            "served result differs from direct simulate_many"
-        );
+        assert_eq!(r1, &expected, "served result differs from a direct sweep");
         assert_eq!(r2, &expected);
         assert!(!deg1 && !deg2);
         assert!(!hit1, "first request cannot hit an empty memo");
@@ -271,6 +269,43 @@ mod tests {
         );
         engine.shutdown();
         assert_eq!(engine.stats().degraded, 1);
+    }
+
+    #[test]
+    fn a_degraded_pass_stops_at_its_deadline() {
+        // A disabled store forces the streamed live sweep. A paper-scale
+        // generator run takes hundreds of milliseconds; the deadline is
+        // a few. The deadline token must stop the pass, so the request
+        // settles as deadline_exceeded and never reaches the sim stage.
+        let engine = test_engine(|c| {
+            c.scale = Scale::Paper;
+            c.trace_budget_bytes = 0;
+            c.workers = 1;
+        });
+        let (client, responses) = engine.attach_client();
+        let mut late = request(1, "linpack", 4096);
+        late.deadline_ms = Some(5);
+        engine.submit(client, &late.to_line());
+        match responses.recv_timeout(Duration::from_secs(60)).unwrap() {
+            Response::Error {
+                id: Some(1),
+                reject: Reject::DeadlineExceeded { deadline_ms: 5 },
+            } => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        // Shutdown joins the worker, so its pass has finished one way
+        // or the other before the histogram is read.
+        engine.shutdown();
+        let sim_samples = engine
+            .metrics_snapshot()
+            .get("histograms")
+            .and_then(|h| h.get("sim_us"))
+            .and_then(|h| h.get("count"))
+            .and_then(cwp_obs::Json::as_u64)
+            .unwrap();
+        assert_eq!(sim_samples, 0, "a cancelled pass must not settle");
+        let stats = engine.stats();
+        assert_eq!((stats.deadline_expired, stats.served), (1, 0));
     }
 
     #[test]

@@ -288,8 +288,14 @@ WIREFUZZ=target/release/cwp-wirefuzz
 
 echo "==> parallel sweep perf gate (sharded suite vs committed baseline)"
 CORES=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+# A baseline only says something about a host of the same shape: the
+# gate runs only when the committed report's core count equals ours.
+BASE_CORES=$(sed -n 's/.*"cores": \([0-9]*\).*/\1/p' results/BENCH_parallel.json | head -n 1)
 if [ "${CORES:-1}" -lt 2 ]; then
     echo "verify: $CORES core(s) — skipping the sharded perf gate (needs >=2)"
+elif [ "${BASE_CORES:-0}" -ne "${CORES:-1}" ]; then
+    echo "verify: results/BENCH_parallel.json was recorded on ${BASE_CORES:-unknown} core(s)," \
+        "this host has $CORES — skipping the sharded perf gate (re-record the baseline here to gate)"
 else
     CWP_BENCH_MS=300 CWP_BENCH_JSON="$SERVE_DIR/parallel.json" \
         cargo bench -q --offline -p cwp-bench --bench parallel > /dev/null \

@@ -9,7 +9,7 @@
 //!   requests) produce typed errors or clean drops, never a crash;
 //! - after a SIGKILL and restart on the same memo directory, resent
 //!   requests are answered from the journal, byte-identical to a
-//!   direct in-process `simulate_many`.
+//!   direct in-process `sweep` over the recording.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -18,7 +18,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use cwp::cache::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
-use cwp::core::sim::simulate_many;
+use cwp::core::sim::{sweep, Source};
 use cwp::core::store::TraceStore;
 use cwp::serve::{Client, Reject, Request, Response, ResultSummary};
 use cwp::trace::{workloads, Scale};
@@ -112,7 +112,8 @@ fn ground_truth(points: &[(String, CacheConfig)]) -> Vec<ResultSummary> {
             .get_or_record(workloads::by_name(workload).unwrap().as_ref())
             .unwrap();
         let configs: Vec<CacheConfig> = entries.iter().map(|(_, c)| *c).collect();
-        for ((index, _), outcome) in entries.iter().zip(simulate_many(&trace, &configs)) {
+        let (outcomes, _) = sweep(Source::Recorded(&trace), &configs, 1, None);
+        for ((index, _), outcome) in entries.iter().zip(outcomes.expect("uncancellable sweep")) {
             results[*index] = Some(ResultSummary::from_outcome(&outcome));
         }
     }
@@ -548,7 +549,7 @@ fn sigkill_and_resume_loses_nothing_and_matches_direct_simulation() {
                 assert_eq!(id, index as u64);
                 assert_eq!(
                     result, expected[index],
-                    "served result for point {index} diverges from direct simulate_many"
+                    "served result for point {index} diverges from a direct sweep"
                 );
                 if let Some(before) = phase_a_results.get(&id) {
                     assert_eq!(before, &result, "restart changed the answer for id {id}");

@@ -1,13 +1,14 @@
-//! The parallel banked engine's determinism contract: sharded sweeps
-//! render byte-identical figure tables at every thread count, for all
-//! six workloads, and a mid-sweep cancellation never corrupts later
+//! The parallel banked engine's determinism contract: sweeps render
+//! byte-identical figure tables at every thread count, for all six
+//! workloads and from both sources (sharded over a recording, streamed
+//! from a live run), and a mid-sweep cancellation never corrupts later
 //! results.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use cwp::cache::CacheConfig;
-use cwp::core::sim::{replay, simulate_many_sharded};
+use cwp::core::sim::{replay, simulate_many_sharded, sweep, Source};
 use cwp::core::supervise::CancelToken;
 use cwp::core::{experiments, Lab};
 use cwp::trace::{workloads, RecordedTrace, Scale};
@@ -58,19 +59,22 @@ fn sharded_outcomes_match_serial_replay_for_every_workload() {
     for workload in workloads::suite() {
         let trace = RecordedTrace::record(workload.as_ref(), Scale::Test);
         let golden: Vec<_> = configs.iter().map(|c| replay(&trace, c)).collect();
-        for threads in THREAD_COUNTS {
-            let (outcomes, report) = simulate_many_sharded(&trace, &configs, threads, None);
-            let outcomes = outcomes.expect("uncancelled sweep completes");
-            for ((got, want), config) in outcomes.iter().zip(&golden).zip(&configs) {
-                assert_eq!(
-                    got.stats,
-                    want.stats,
-                    "{} @ {config} with {threads} threads",
-                    workload.name()
-                );
-                assert_eq!(got.traffic_total, want.traffic_total);
+        let live = Source::Live(workload.as_ref(), Scale::Test);
+        for (plan, source) in [("sharded", Source::Recorded(&trace)), ("streamed", live)] {
+            for threads in THREAD_COUNTS {
+                let (outcomes, report) = sweep(source, &configs, threads, None);
+                let outcomes = outcomes.expect("uncancelled sweep completes");
+                for ((got, want), config) in outcomes.iter().zip(&golden).zip(&configs) {
+                    assert_eq!(
+                        got.stats,
+                        want.stats,
+                        "{} @ {config} with {threads} {plan} threads",
+                        workload.name()
+                    );
+                    assert_eq!(got.traffic_total, want.traffic_total);
+                }
+                assert_eq!(report.shard_us.len() as u64, report.executed);
             }
-            assert_eq!(report.shard_us.len() as u64, report.executed);
         }
     }
 }
