@@ -100,10 +100,9 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
         "oracle allocatable %",
         "write-validate coverage %",
     ]);
-    let scale = lab.scale();
     for name in WORKLOAD_NAMES {
         let mut oracle = AllocOracle::default();
-        lab.workload(name).run(scale, &mut oracle);
+        lab.drive(name, &mut oracle);
         let pct = if oracle.write_misses > 0 {
             100.0 * oracle.fully_written as f64 / oracle.write_misses as f64
         } else {

@@ -74,10 +74,9 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
         "median victim gap",
         "% victims within 8 instr",
     ]);
-    let scale = lab.scale();
     for name in WORKLOAD_NAMES {
         let mut timer = VictimTimer::new();
-        lab.workload(name).run(scale, &mut timer);
+        lab.drive(name, &mut timer);
         t.row(
             name,
             [

@@ -65,7 +65,6 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
         "L1 policy",
     );
     t.columns(["L1->L2 accesses", "L2 misses", "memory transactions"]);
-    let scale = lab.scale();
     for policy in [
         WriteMissPolicy::FetchOnWrite,
         WriteMissPolicy::WriteValidate,
@@ -79,7 +78,7 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
             let mut driver = Driver {
                 stack: build(policy),
             };
-            let summary = lab.workload(name).run(scale, &mut driver);
+            let summary = lab.drive(name, &mut driver);
             let mut stack = driver.stack;
             stack.flush();
             stack.next_level_mut().flush();

@@ -16,13 +16,12 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
         "store timing",
     );
     t.columns(workload_columns());
-    let scale = lab.scale();
     for timing in StoreTiming::ALL {
         let values: Vec<Option<f64>> = WORKLOAD_NAMES
             .iter()
             .map(|name| {
                 let mut pipe = StorePipeline::for_timing(timing);
-                lab.workload(name).run(scale, &mut pipe);
+                lab.drive(name, &mut pipe);
                 Some(pipe.stats().cpi())
             })
             .collect();

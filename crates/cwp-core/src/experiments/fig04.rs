@@ -21,12 +21,11 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
         "CPI (probe-then-write)",
         "interlock cycles saved %",
     ]);
-    let scale = lab.scale();
     for name in WORKLOAD_NAMES {
         let mut delayed = StorePipeline::for_timing(StoreTiming::DelayedWrite);
-        lab.workload(name).run(scale, &mut delayed);
+        lab.drive(name, &mut delayed);
         let mut plain = StorePipeline::for_timing(StoreTiming::ProbeThenWrite);
-        lab.workload(name).run(scale, &mut plain);
+        lab.drive(name, &mut plain);
         let d = delayed.stats();
         let p = plain.stats();
         let saved = if p.interlock_cycles > 0 {

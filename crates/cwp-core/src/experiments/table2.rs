@@ -76,14 +76,13 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
     );
 
     // Measured: cycles per write at the cache interface.
-    let scale = lab.scale();
     let mut wt_cpw = 0.0;
     let mut wb_cpw = 0.0;
     for name in WORKLOAD_NAMES {
         let mut fast = StorePipeline::for_timing(StoreTiming::WriteThroughDirectMapped);
-        lab.workload(name).run(scale, &mut fast);
+        lab.drive(name, &mut fast);
         let mut slow = StorePipeline::for_timing(StoreTiming::ProbeThenWrite);
-        lab.workload(name).run(scale, &mut slow);
+        lab.drive(name, &mut slow);
         wt_cpw += 1.0;
         wb_cpw += 1.0 + slow.stats().interlock_cycles as f64 / slow.stats().stores as f64;
     }

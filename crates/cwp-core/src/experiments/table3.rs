@@ -25,7 +25,6 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
     // would have stalled.
     let mut forced = 0u64;
     let mut accepted = 0u64;
-    let scale = lab.scale();
     for name in WORKLOAD_NAMES {
         let config = cwp_cache::CacheConfig::default();
         let vb = VictimBuffer::new(1, MainMemory::new());
@@ -40,7 +39,7 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
                 cache.read(r.addr, &mut out[..len]);
             }
         };
-        lab.workload(name).run(scale, &mut sink);
+        lab.drive(name, &mut sink);
         let vb = cache.into_next_level();
         forced += vb.forced_drains();
         accepted += vb.accepted();
@@ -57,11 +56,10 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
     );
 
     // Bandwidth improvement: delayed-write register vs write cache.
-    let scale = lab.scale();
     let mut one_cycle = 0.0;
     for name in WORKLOAD_NAMES {
         let mut pipe = StorePipeline::for_timing(StoreTiming::DelayedWrite);
-        lab.workload(name).run(scale, &mut pipe);
+        lab.drive(name, &mut pipe);
         one_cycle += pipe
             .stats()
             .two_cycle_store_fraction()

@@ -2,22 +2,30 @@
 //!
 //! Every run is driven from a [`Source`]: the shared
 //! [`TraceStore`]'s recording when the workload fits its budget, a live
-//! generator run otherwise. Single outcomes go through
-//! [`simulate_probed`] (or [`simulate_audited`]); a sweep's missing
-//! configurations go through one [`sweep`] call, which picks the
-//! sharded or streamed plan from the source.
+//! generator run otherwise. A sweep's missing configurations go through
+//! one [`sweep`] call, which picks the sharded or streamed plan from the
+//! source. A single outcome runs on the data-free [`DataFreeSink`]
+//! engine when it is untraced, unaudited and fault-free; fault-injecting,
+//! traced and audited runs take the data-carrying engine
+//! ([`simulate_probed`], [`simulate_audited`], or the trace exporters).
+//!
+//! Outcomes and write streams live in a [`RunMemo`]. A lab made with
+//! [`Lab::new`] keeps a private one; the supervised runner gives every
+//! worker lab of a run, panic rebuilds included, one shared memo, so
+//! the pool simulates each (workload, configuration) once per run.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cwp_cache::{CacheConfig, NullProbe};
 use cwp_obs::{obs_debug, obs_error};
-use cwp_trace::{workloads, MemRef, Scale, TraceSink, Workload};
+use cwp_trace::{workloads, MemRef, RecordedTrace, Scale, TraceSink, TraceSummary, Workload};
 
+use crate::memo::RunMemo;
 use crate::obs::{trace_replay, trace_simulation, TraceOptions};
 use crate::shard::ShardReport;
 use crate::sim::{
-    simulate_audited, simulate_many_audited, simulate_probed, sweep, SimOutcome, Source,
+    simulate_audited, simulate_many_audited, simulate_probed, sweep, DataFreeSink, SimOutcome,
+    Source,
 };
 use crate::store::TraceStore;
 
@@ -74,8 +82,9 @@ struct TraceState {
 /// Figures share most of their underlying runs (e.g. Figures 10, 13, 14,
 /// and 18 all need fetch-on-write sweeps over cache sizes), so the lab
 /// keys results by `(workload, configuration)` and simulates each pair at
-/// most once per scale. With [`Lab::enable_trace`], every actual run also
-/// exports its event stream, windowed time series, and manifest to disk.
+/// most once per scale — once across every lab sharing its memo. With
+/// [`Lab::enable_trace`], every actual run also exports its event stream,
+/// windowed time series, and manifest to disk.
 ///
 /// # Examples
 ///
@@ -93,8 +102,7 @@ struct TraceState {
 pub struct Lab {
     scale: Scale,
     workloads: Vec<Box<dyn Workload>>,
-    memo: HashMap<(String, CacheConfig), Arc<SimOutcome>>,
-    streams: HashMap<String, Arc<WriteStream>>,
+    memo: Arc<RunMemo>,
     runs: u64,
     trace: Option<TraceState>,
     store: Arc<TraceStore>,
@@ -128,8 +136,7 @@ impl Lab {
         Lab {
             scale,
             workloads,
-            memo: HashMap::new(),
-            streams: HashMap::new(),
+            memo: Arc::default(),
             runs: 0,
             trace: None,
             store: Arc::new(TraceStore::new(scale)),
@@ -198,6 +205,19 @@ impl Lab {
         &self.store
     }
 
+    /// Replaces the lab's private memo with `memo`, shared by every lab
+    /// of one run: each (workload, configuration) is then simulated by
+    /// exactly one of them. All sharers must run at one scale.
+    pub(crate) fn set_memo(&mut self, memo: Arc<RunMemo>) {
+        self.memo = memo;
+    }
+
+    /// The memo this lab publishes into.
+    #[cfg(test)]
+    pub(crate) fn memo(&self) -> &Arc<RunMemo> {
+        &self.memo
+    }
+
     /// Turns on tracing: every non-memoized simulation also writes
     /// `events.jsonl` + `windows.csv` + `manifest.json` into
     /// `options.dir/<context>/<NN>-<workload>/`. Use
@@ -235,7 +255,8 @@ impl Lab {
         self.scale
     }
 
-    /// Number of actual (non-memoized) simulations performed.
+    /// Number of actual (non-memoized) simulations this lab performed
+    /// and published to its memo.
     pub fn runs(&self) -> u64 {
         self.runs
     }
@@ -251,50 +272,97 @@ impl Lab {
     ///
     /// Panics if `name` is not one of the six benchmarks.
     pub fn workload(&self, name: &str) -> &dyn Workload {
+        self.workloads[self.index(name)].as_ref()
+    }
+
+    fn index(&self, name: &str) -> usize {
         self.workloads
             .iter()
-            .find(|w| w.name() == name)
+            .position(|w| w.name() == name)
             .unwrap_or_else(|| panic!("unknown workload {name}"))
-            .as_ref()
+    }
+
+    /// Drives `workload`'s reference stream into `sink` and returns the
+    /// run's totals: a replay of the store's recording, or a live
+    /// generator run when none fits. Both yield the identical stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workload` is not one of the six benchmarks.
+    pub fn drive(&self, workload: &str, sink: &mut dyn TraceSink) -> TraceSummary {
+        let w = self.workload(workload);
+        let recording = self.store.get_or_record(w);
+        Source::stored(recording.as_deref(), w, self.scale).drive(sink)
     }
 
     /// The simulation outcome for (`workload`, `config`), running it if
     /// not already memoized.
     ///
+    /// The recording is looked up before the memo, once per call, so the
+    /// store's hit count follows the lab's requests rather than which lab
+    /// of a pool happened to simulate a key first.
+    ///
     /// # Panics
     ///
     /// Panics if `workload` is not one of the six benchmarks.
     pub fn outcome(&mut self, workload: &str, config: &CacheConfig) -> Arc<SimOutcome> {
-        let key = (workload.to_string(), *config);
-        if let Some(hit) = self.memo.get(&key) {
-            return Arc::clone(hit);
-        }
-        let idx = self
-            .workloads
-            .iter()
-            .position(|w| w.name() == workload)
-            .unwrap_or_else(|| panic!("unknown workload {workload}"));
-        let outcome = Arc::new(self.run_one(idx, config));
-        self.runs += 1;
-        self.memo.insert(key, Arc::clone(&outcome));
+        let idx = self.index(workload);
+        let recording = self.store.get_or_record(self.workloads[idx].as_ref());
+        self.resolve(idx, recording.as_deref(), config)
+    }
+
+    /// The memoized outcome, or one simulated here and published. Waits
+    /// while another lab holds the key's claim; the caller holds none.
+    fn resolve(
+        &mut self,
+        idx: usize,
+        recording: Option<&RecordedTrace>,
+        config: &CacheConfig,
+    ) -> Arc<SimOutcome> {
+        let memo = Arc::clone(&self.memo);
+        let outcome = match memo
+            .outcomes
+            .get_or_claim(&(self.workloads[idx].name(), *config))
+        {
+            Ok(hit) => hit,
+            Err(claim) => {
+                let outcome = self.run_one(idx, recording, config);
+                self.runs += 1;
+                claim.publish(outcome)
+            }
+        };
         outcome
     }
 
     /// One actual simulation, traced when tracing is on and the workload
     /// passes the filter. A trace I/O failure is reported and the run
     /// falls back to the untraced path — figures still come out. The run
-    /// replays the store's recording when one exists, and drives the
-    /// generator live otherwise (store disabled or over budget).
-    fn run_one(&mut self, idx: usize, config: &CacheConfig) -> SimOutcome {
+    /// replays `recording` when there is one, and drives the generator
+    /// live otherwise (store disabled or over budget).
+    ///
+    /// Untraced runs pick their engine: the audit's data-carrying
+    /// engine when auditing, the data-carrying engine for a
+    /// fault-injecting `config` (its statistics depend on the bytes),
+    /// and the data-free [`DataFreeSink`] for everything else — the same
+    /// outcome at a fraction of the cost.
+    fn run_one(
+        &mut self,
+        idx: usize,
+        recording: Option<&RecordedTrace>,
+        config: &CacheConfig,
+    ) -> SimOutcome {
         let w = self.workloads[idx].as_ref();
-        let recording = self.store.get_or_record(w);
-        let source = Source::stored(recording.as_deref(), w, self.scale);
+        let source = Source::stored(recording, w, self.scale);
         let audit = self.audit;
         let untraced = || {
             if audit {
                 simulate_audited(source, config).unwrap_or_else(|e| {
                     panic!("invariant audit failed for {}/{config}: {e}", w.name())
                 })
+            } else if config.fault_rate_ppm() == 0 {
+                let mut sink = DataFreeSink::new(*config);
+                let summary = source.drive(&mut sink);
+                sink.settle(summary)
             } else {
                 simulate_probed(source, config, NullProbe).0
             }
@@ -315,7 +383,7 @@ impl Lab {
         let context = trace.context.clone();
         let options = trace.options.clone();
         obs_debug!("tracing {context}: {} @ {config}", w.name());
-        let traced = match recording.as_deref() {
+        let traced = match recording {
             Some(rec) => trace_replay(w.name(), rec, self.scale, config, &context, &options, &dir),
             None => trace_simulation(w, self.scale, config, &context, &options, &dir),
         };
@@ -342,45 +410,47 @@ impl Lab {
 
     /// The workload's store stream (memoized): input for write buffers and
     /// write caches, which sit behind a write-through cache and therefore
-    /// see every store. Derived by replaying the trace store's recording —
-    /// not a second generator run — whenever one is available.
+    /// see every store. Derived through [`Lab::drive`] — a replay of the
+    /// trace store's recording, not a second generator run, whenever one
+    /// is available.
     ///
     /// # Panics
     ///
     /// Panics if `workload` is not one of the six benchmarks.
-    pub fn write_stream(&mut self, workload: &str) -> Arc<WriteStream> {
-        if let Some(hit) = self.streams.get(workload) {
-            return Arc::clone(hit);
+    pub fn write_stream(&self, workload: &str) -> Arc<WriteStream> {
+        match self
+            .memo
+            .streams
+            .get_or_claim(&self.workload(workload).name())
+        {
+            Ok(hit) => hit,
+            Err(claim) => {
+                let mut stream = WriteStream::default();
+                self.drive(workload, &mut stream);
+                claim.publish(stream)
+            }
         }
-        let w = self
-            .workloads
-            .iter()
-            .find(|w| w.name() == workload)
-            .unwrap_or_else(|| panic!("unknown workload {workload}"));
-        let mut stream = WriteStream::default();
-        let recording = self.store.get_or_record(w.as_ref());
-        Source::stored(recording.as_deref(), w.as_ref(), self.scale).drive(&mut stream);
-        let stream = Arc::new(stream);
-        self.streams
-            .insert(workload.to_string(), Arc::clone(&stream));
-        stream
     }
 
     /// Outcomes for one workload across a whole configuration sweep,
     /// in `configs` order.
     ///
     /// Equivalent to calling [`Lab::outcome`] per configuration — same
-    /// outcomes, same memoization, same run accounting — but when
-    /// several configurations are missing from the memo they are
-    /// simulated as one [`sweep`] on [`Lab::set_threads`] workers: a
-    /// sharded replay of the store's recording, or — when no recording
-    /// fits the store budget — one streamed generator run feeding the
-    /// whole bank. Audited labs cross-check the sweep against audited
-    /// single runs ([`simulate_many_audited`]); with no recording that
-    /// costs one streamed generator pass on top of the per-configuration
-    /// audited live runs, so the streamed plan is audited too. Traced
-    /// runs keep the per-configuration path so every run directory
-    /// still appears.
+    /// outcomes, same memoization, same run accounting — but the lab
+    /// first claims every configuration missing from the memo, and when
+    /// it claimed several they are simulated as one [`sweep`] on
+    /// [`Lab::set_threads`] workers: a sharded replay of the store's
+    /// recording, or — when no recording fits the store budget — one
+    /// streamed generator run feeding the whole bank. Audited labs
+    /// cross-check the sweep against audited single runs
+    /// ([`simulate_many_audited`]); with no recording that costs one
+    /// streamed generator pass on top of the per-configuration audited
+    /// live runs, so the streamed plan is audited too. Traced runs keep
+    /// the per-configuration path so every run directory still appears.
+    ///
+    /// Configurations another lab is simulating are waited for only
+    /// after this lab has published its own claims, so no lab ever
+    /// waits while holding a claim.
     ///
     /// # Panics
     ///
@@ -390,21 +460,28 @@ impl Lab {
         workload: &str,
         configs: &[CacheConfig],
     ) -> Vec<Arc<SimOutcome>> {
-        let mut missing: Vec<CacheConfig> = Vec::new();
+        let idx = self.index(workload);
+        let name = self.workloads[idx].name();
+        let recording = self.store.get_or_record(self.workloads[idx].as_ref());
+        let memo = Arc::clone(&self.memo);
+        // A repeated configuration finds its own earlier claim busy.
+        let mut claims = Vec::new();
         for config in configs {
-            let key = (workload.to_string(), *config);
-            if !self.memo.contains_key(&key) && !missing.contains(config) {
-                missing.push(*config);
+            if let Some(claim) = memo.outcomes.try_claim(&(name, *config)) {
+                claims.push((*config, claim));
             }
         }
         let tracing_this = self
             .trace
             .as_ref()
             .is_some_and(|trace| trace.only.as_deref().is_none_or(|only| only == workload));
-        if missing.len() > 1 && !tracing_this {
-            let w = self.workload(workload);
-            let recording = self.store.get_or_record(w);
-            let source = Source::stored(recording.as_deref(), w, self.scale);
+        if claims.len() > 1 && !tracing_this {
+            let missing: Vec<CacheConfig> = claims.iter().map(|(config, _)| *config).collect();
+            let source = Source::stored(
+                recording.as_deref(),
+                self.workloads[idx].as_ref(),
+                self.scale,
+            );
             let (outcomes, report) = if self.audit {
                 let outcomes = simulate_many_audited(source, &missing)
                     .unwrap_or_else(|e| panic!("invariant audit failed for {workload} sweep: {e}"));
@@ -423,15 +500,20 @@ impl Lab {
             self.shard_report.executed += report.executed;
             self.shard_report.stolen += report.stolen;
             self.shard_report.shard_us.extend(report.shard_us);
-            for (config, outcome) in missing.iter().zip(outcomes) {
+            for ((_, claim), outcome) in claims.into_iter().zip(outcomes) {
                 self.runs += 1;
-                self.memo
-                    .insert((workload.to_string(), *config), Arc::new(outcome));
+                claim.publish(outcome);
+            }
+        } else {
+            for (config, claim) in claims {
+                let outcome = self.run_one(idx, recording.as_deref(), &config);
+                self.runs += 1;
+                claim.publish(outcome);
             }
         }
         configs
             .iter()
-            .map(|config| self.outcome(workload, config))
+            .map(|config| self.resolve(idx, recording.as_deref(), config))
             .collect()
     }
 }
@@ -440,7 +522,7 @@ impl std::fmt::Debug for Lab {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lab")
             .field("scale", &self.scale)
-            .field("memoized", &self.memo.len())
+            .field("memoized", &self.memo.outcomes.len())
             .field("runs", &self.runs)
             .finish()
     }
@@ -600,7 +682,7 @@ mod tests {
 
     #[test]
     fn write_streams_are_memoized_and_monotonic() {
-        let mut lab = Lab::new(Scale::Test);
+        let lab = Lab::new(Scale::Test);
         let s1 = lab.write_stream("liver");
         let s2 = lab.write_stream("liver");
         assert!(Arc::ptr_eq(&s1, &s2));
@@ -613,7 +695,7 @@ mod tests {
     fn derived_write_stream_matches_a_generator_fed_one() {
         for name in WORKLOAD_NAMES {
             // Replay-derived (store enabled, the default)...
-            let mut lab = Lab::new(Scale::Test);
+            let lab = Lab::new(Scale::Test);
             let derived = lab.write_stream(name);
             assert_eq!(lab.store().recordings(), 1, "{name} derived from replay");
             // ...versus generator-fed (store disabled).

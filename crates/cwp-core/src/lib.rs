@@ -29,6 +29,7 @@
 pub mod burst;
 pub mod experiments;
 pub mod lab;
+mod memo;
 pub mod obs;
 pub mod report;
 pub mod runner;

@@ -8,7 +8,10 @@
 //!
 //! - each job runs under [`std::panic::catch_unwind`] on a worker
 //!   thread with its own [`Lab`], so a panic settles that job and
-//!   leaves every other job untouched;
+//!   leaves every other job untouched. The labs of one run share a
+//!   trace store and one outcome/write-stream memo, so the pool
+//!   simulates each (workload, configuration) once; outcomes a
+//!   panicked job published stay memoized for its retry;
 //! - a watchdog thread enforces a per-job deadline (scaled by the
 //!   experiment's declared [`cost`](crate::experiments::Experiment::cost));
 //!   a job past its deadline is abandoned and its worker replaced;
@@ -39,6 +42,7 @@ use cwp_trace::Scale;
 
 use crate::experiments::Experiment;
 use crate::lab::Lab;
+use crate::memo::RunMemo;
 use crate::obs::TraceOptions;
 use crate::report::{Cell, Table};
 use crate::supervise::{self, Supervisor};
@@ -333,7 +337,8 @@ impl RunSummary {
 /// Supervision policy for a run.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Worker threads (each owns a [`Lab`]).
+    /// Worker threads (each owns a [`Lab`]; the labs of one run share
+    /// one memo).
     pub workers: usize,
     /// Worker threads each lab's sweep fan-out may use (see
     /// [`Lab::set_threads`]); results are identical at every value.
@@ -471,6 +476,7 @@ fn worker_loop(
     worker_id: u64,
     jobs: Arc<Vec<Job>>,
     config: RunnerConfig,
+    memo: Arc<RunMemo>,
     queue: Queue,
     watch: Watch,
     out: mpsc::Sender<Msg>,
@@ -478,6 +484,9 @@ fn worker_loop(
     let build_lab = |cfg: &RunnerConfig| {
         let mut lab = Lab::new(cfg.scale);
         lab.set_threads(cfg.sim_threads);
+        // The run's memo survives panic-rebuilds too: what a panicked
+        // job published is never simulated again.
+        lab.set_memo(Arc::clone(&memo));
         // The shared store survives panic-rebuilds of this worker's lab
         // and is common to the whole pool: recordings are never lost to
         // a worker replacement.
@@ -542,8 +551,9 @@ fn worker_loop(
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "panic (non-string payload)".to_string());
-                // The lab may hold partial memoized state from the
-                // panicked experiment; rebuild it from scratch.
+                // The lab may hold partial state (trace context, shard
+                // report) from the panicked experiment; rebuild it. The
+                // panic released every claim the job still held.
                 lab = build_lab(&config);
                 runs_before = 0;
                 Err(format!("panic: {msg}"))
@@ -684,8 +694,10 @@ impl Runner {
         let mut next_worker_id = 0u64;
         let worker_tx = tx.clone();
         // Every worker (including replacements spawned after a timeout)
-        // gets the same trace store, so the pool records each workload
-        // exactly once per run.
+        // gets the same trace store and memo, so the pool records each
+        // workload and simulates each (workload, configuration) exactly
+        // once per run.
+        let memo = Arc::new(RunMemo::default());
         let worker_config = {
             let mut cfg = self.config.clone();
             if cfg.trace_store.is_none() {
@@ -699,12 +711,13 @@ impl Runner {
             let handle = {
                 let jobs = Arc::clone(&jobs);
                 let config = worker_config.clone();
+                let memo = Arc::clone(&memo);
                 let queue = Arc::clone(&queue);
                 let watch = Arc::clone(&watch);
                 let tx = worker_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("cwp-worker-{id}"))
-                    .spawn(move || worker_loop(id, jobs, config, queue, watch, tx))
+                    .spawn(move || worker_loop(id, jobs, config, memo, queue, watch, tx))
                     .expect("spawn worker thread")
             };
             handles.insert(id, handle);
@@ -1080,6 +1093,88 @@ mod tests {
             store.recordings(),
             1,
             "one yacc recording across workers and panic-rebuilt labs"
+        );
+    }
+
+    #[test]
+    fn one_and_four_workers_render_identically_from_one_shared_memo() {
+        // Every distinct (workload, configuration) the registry asks for,
+        // counted by one private lab running the experiments in order.
+        let mut lab = Lab::new(Scale::Test);
+        for e in crate::experiments::all() {
+            e.run(&mut lab);
+        }
+        let distinct = lab.runs();
+        let run = |workers: usize| {
+            let mut c = config();
+            c.workers = workers;
+            let store = Arc::new(crate::TraceStore::new(Scale::Test));
+            c.trace_store = Some(Arc::clone(&store));
+            let jobs = crate::experiments::all()
+                .iter()
+                .map(Job::from_experiment)
+                .collect();
+            let summary = Runner::new(c).run(jobs).unwrap();
+            assert_eq!(summary.failures(), 0, "{workers} worker(s)");
+            let tables: Vec<String> = summary
+                .results
+                .iter()
+                .flat_map(|r| r.tables.iter().map(|t| t.markdown.clone()))
+                .collect();
+            (tables, summary.simulations, store.hits(), store.misses())
+        };
+        let (serial, serial_sims, serial_hits, serial_misses) = run(1);
+        let (pooled, pooled_sims, pooled_hits, pooled_misses) = run(4);
+        assert_eq!(serial, pooled, "rendered tables differ");
+        assert_eq!(serial_sims, distinct, "one simulation per distinct key");
+        assert_eq!(pooled_sims, distinct, "one simulation per distinct key");
+        assert_eq!(pooled_hits, serial_hits, "store hits follow the requests");
+        assert_eq!(pooled_misses, serial_misses);
+    }
+
+    #[test]
+    fn a_panicked_jobs_outcomes_stay_published_and_its_claims_are_released() {
+        use cwp_cache::CacheConfig;
+
+        let mut c = config();
+        c.workers = 2;
+        c.retries = 1;
+        let kb = |k: u32| CacheConfig::builder().size_bytes(k << 10).build().unwrap();
+        let published = [kb(1), kb(2)];
+        let held = kb(4);
+        let (held_tx, held_rx) = mpsc::channel::<()>();
+        let held_rx = Mutex::new(held_rx);
+        let tries = Arc::new(AtomicU32::new(0));
+        let counter = Arc::clone(&tries);
+        let jobs = vec![
+            Job::new("panics", "publishes, claims, panics", 1, move |lab| {
+                lab.outcomes_sweep("yacc", &published);
+                if counter.fetch_add(1, Ordering::SeqCst) == 0 {
+                    let memo = Arc::clone(lab.memo());
+                    let _claim = memo
+                        .outcomes
+                        .try_claim(&("yacc", held))
+                        .expect("nobody else has asked for it yet");
+                    held_tx.send(()).unwrap();
+                    // Give the other job time to block on the claim.
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("intentional test panic");
+                }
+                Ok(vec![table_for("panics")])
+            }),
+            Job::new("waits", "waits on the held claim", 1, move |lab| {
+                held_rx.lock().unwrap().recv().unwrap();
+                assert!(lab.outcome("yacc", &held).stats.accesses() > 0);
+                Ok(vec![table_for("waits")])
+            }),
+        ];
+        let summary = Runner::new(c).run(jobs).unwrap();
+        assert_eq!(summary.failures(), 0);
+        assert_eq!(summary.results[0].attempts, 2);
+        assert_eq!(tries.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            summary.simulations, 3,
+            "the retry re-simulates nothing; the waiter simulates the released key"
         );
     }
 

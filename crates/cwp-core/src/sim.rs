@@ -158,8 +158,11 @@ impl<P: Probe> TraceSink for CacheSink<P> {
 /// A [`TraceSink`] over the struct-of-arrays data-free engine
 /// ([`SoaCache`]): flat tag/valid/dirty/LRU word arrays, no data image,
 /// traffic tallied in place. Every fault-free member of a [`sweep`] bank
-/// runs on it. [`CacheStats`] and [`Traffic`] are functions of the
-/// address stream and the configuration alone, so it settles to
+/// runs on it, and so does every untraced, unaudited, fault-free
+/// [`Lab`](crate::Lab) outcome: the data-carrying [`CacheSink`] runs
+/// only fault-injecting, traced and audited runs. [`CacheStats`] and
+/// [`Traffic`] are functions of the address stream and the
+/// configuration alone, so it settles to
 /// outcomes bit-identical to [`CacheSink`]'s (the policy/geometry matrix
 /// test below pins it against the golden engine), at a fraction of the
 /// per-reference cost and ~32 bytes of state per line.

@@ -64,11 +64,17 @@ cargo run -q --release --offline -p cwp-obs --bin validate_trace -- "$KILL_DIR/t
 echo "==> replay-equivalence smoke (trace store vs live regeneration)"
 REPLAY_DIR=$(mktemp -d "${TMPDIR:-/tmp}/cwp-verify-replay.XXXXXX")
 trap 'rm -rf "$TRACE_DIR" "$KILL_DIR" "$REPLAY_DIR"' EXIT
-"$FIGURES" --scale test --jobs 1 --quiet fig10 > "$REPLAY_DIR/replayed.md"
-"$FIGURES" --scale test --jobs 1 --quiet --no-trace-store fig10 > "$REPLAY_DIR/live.md"
-cmp "$REPLAY_DIR/replayed.md" "$REPLAY_DIR/live.md" \
-    || { echo "verify: replayed fig10 differs from live regeneration" >&2; exit 1; }
+# fig10 sweeps; the others drive pipelines, buffers and stacked caches
+# straight from the stored trace (Lab::drive, Lab::write_stream).
+REPLAY_IDS="fig03 fig04 fig05 fig10 table2 table3 ext_burst ext_alloc ext_l2"
+# shellcheck disable=SC2086
+"$FIGURES" --scale test --jobs 1 --quiet $REPLAY_IDS > "$REPLAY_DIR/all.md"
+# shellcheck disable=SC2086
+"$FIGURES" --scale test --jobs 1 --quiet --no-trace-store $REPLAY_IDS > "$REPLAY_DIR/live.md"
+cmp "$REPLAY_DIR/all.md" "$REPLAY_DIR/live.md" \
+    || { echo "verify: replayed tables differ from live regeneration" >&2; exit 1; }
 # Saved traces must reload and reproduce the same tables byte-for-byte.
+"$FIGURES" --scale test --jobs 1 --quiet fig10 > "$REPLAY_DIR/replayed.md"
 "$FIGURES" --scale test --jobs 1 --quiet --save-traces "$REPLAY_DIR/traces" fig10 > /dev/null
 "$FIGURES" --scale test --jobs 1 --quiet --load-traces "$REPLAY_DIR/traces" fig10 \
     > "$REPLAY_DIR/loaded.md"
@@ -92,10 +98,21 @@ trap 'rm -rf "$TRACE_DIR" "$KILL_DIR" "$REPLAY_DIR" "$FUZZ_DIR"' EXIT
     || { echo "verify: shrink-demo failed" >&2; exit 1; }
 
 echo "==> audited figures are byte-identical (invariant auditor observes, never steers)"
-"$FIGURES" --scale test --jobs 1 --quiet fig10 > "$FUZZ_DIR/plain.md"
-"$FIGURES" --scale test --jobs 1 --quiet --audit fig10 > "$FUZZ_DIR/audited.md"
+# Plain runs settle fault-free cells on the data-free engine; audited
+# runs use the data-carrying one, so this is also a differential check.
+AUDIT_IDS="table1 fig01 fig02 fig08 fig10 fig13 ext_assoc ext_bytes ext_fault"
+# shellcheck disable=SC2086
+"$FIGURES" --scale test --jobs 1 --quiet $AUDIT_IDS > "$FUZZ_DIR/plain.md"
+# shellcheck disable=SC2086
+"$FIGURES" --scale test --jobs 1 --quiet --audit $AUDIT_IDS > "$FUZZ_DIR/audited.md"
 cmp "$FUZZ_DIR/plain.md" "$FUZZ_DIR/audited.md" \
-    || { echo "verify: --audit changed fig10 output" >&2; exit 1; }
+    || { echo "verify: --audit changed the output of: $AUDIT_IDS" >&2; exit 1; }
+
+echo "==> golden quick-scale figures (results/figures_quick.md)"
+"$FIGURES" --scale quick --quiet all > "$FUZZ_DIR/quick.md"
+cmp results/figures_quick.md "$FUZZ_DIR/quick.md" \
+    || { diff results/figures_quick.md "$FUZZ_DIR/quick.md" | head -n 20 >&2; \
+         echo "verify: figures --scale quick all differs from results/figures_quick.md" >&2; exit 1; }
 
 echo "==> cwp-serve load + chaos gate (admission, panics, kill-and-resume, warm rps)"
 SERVE=target/release/cwp-serve
