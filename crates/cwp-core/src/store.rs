@@ -5,7 +5,10 @@
 //! [`RecordedTrace`] per workload (at one scale) behind an `Arc`, so
 //! every [`Lab`](crate::Lab) — and every worker thread in the
 //! supervised runner — replays a single recording instead of re-running
-//! the workload generator per sweep point.
+//! the workload generator per sweep point. Every lookup of a slot returns
+//! the same `Arc`, so what a recording caches about itself (its
+//! [`RecordedTrace::content_hash`]) is computed once per capture, not once
+//! per lookup.
 //!
 //! Capture is memory-bounded: the store has a byte budget
 //! ([`DEFAULT_BUDGET_BYTES`] unless configured). A workload whose trace
@@ -452,7 +455,8 @@ mod tests {
         let store = TraceStore::with_budget(Scale::Test, budget);
 
         assert!(store.get_or_record(workloads::yacc().as_ref()).is_some());
-        assert!(store.get_or_record(workloads::met().as_ref()).is_some());
+        let evicted = store.get_or_record(workloads::met().as_ref()).unwrap();
+        let evicted_hash = evicted.content_hash();
         assert_eq!(store.evictions(), 0, "both fit");
         // Touch yacc so met becomes the LRU victim.
         assert!(store.lookup("yacc").is_some());
@@ -461,8 +465,11 @@ mod tests {
         assert_eq!(store.recorded_names(), ["grr", "yacc"]);
         assert!(store.used_bytes() <= budget, "eviction restored the budget");
 
-        // The evicted workload transparently re-records on next use.
-        assert!(store.get_or_record(workloads::met().as_ref()).is_some());
+        // The evicted workload transparently re-records on next use,
+        // and the fresh capture keeps the memo identity of the old one.
+        let recaptured = store.get_or_record(workloads::met().as_ref()).unwrap();
+        assert!(!Arc::ptr_eq(&recaptured, &evicted), "a fresh capture");
+        assert_eq!(recaptured.content_hash(), evicted_hash);
         assert_eq!(store.recordings(), 4, "met was captured twice");
         assert!(store.evictions() >= 2);
         assert!(store.used_bytes() <= budget);
@@ -570,9 +577,11 @@ mod tests {
         // First use captures: a miss, not a hit.
         assert!(store.get_or_record(w.as_ref()).is_some());
         assert_eq!((store.hits(), store.misses()), (0, 1));
-        // Subsequent uses are served from the recording.
-        assert!(store.get_or_record(w.as_ref()).is_some());
-        assert!(store.get_or_record(w.as_ref()).is_some());
+        // Subsequent uses are served from the recording: one shared
+        // `Arc`, so a content hash cached by one user serves them all.
+        let a = store.get_or_record(w.as_ref()).unwrap();
+        let b = store.get_or_record(w.as_ref()).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((store.hits(), store.misses()), (2, 1));
         // Lookups count too, both ways.
         assert!(store.lookup("ccom").is_some());

@@ -14,7 +14,10 @@
 //! spread over [`EngineConfig::sim_threads`] threads (results are
 //! identical at every thread count). Results are memoized in the
 //! crash-safe [`MemoStore`] keyed by
-//! `(trace content hash, canonical config JSON)`.
+//! `(trace content hash, canonical config JSON)`. Every pass over a
+//! workload gets the [`TraceStore`]'s one shared recording, which caches
+//! its content hash on first use, so the hash scan is paid once per
+//! recording and a memo hit costs a store lookup plus a memo lookup.
 //!
 //! Graceful degradation: when the [`TraceStore`] cannot hold a
 //! workload's trace even after LRU eviction, the source is a live
@@ -1278,12 +1281,15 @@ fn serve_batch(shared: &Shared, leader: Entry) {
     let degraded = trace.is_none();
     let trace_hash = match &trace {
         Some(trace) => {
+            // Cached in the store's shared recording by the first pass
+            // over it, so every later pass reads a field.
             let hash = trace.content_hash();
             shared
                 .hashes
                 .lock()
                 .expect("hashes lock")
-                .insert(name.clone(), hash);
+                .entry(name)
+                .or_insert(hash);
             Some(hash)
         }
         // The trace alone exceeds the store budget: fall back to live
@@ -1299,8 +1305,9 @@ fn serve_batch(shared: &Shared, leader: Entry) {
     };
 
     // Memo pass: answer hits immediately, collect misses for the sim.
-    // The trace fetch above is billed to every batch member as `prep`
-    // (on a cold store it records the whole trace).
+    // The trace fetch and hash above are billed to every batch member
+    // as `prep`: on a cold store they record the whole trace and scan
+    // it once; after that both are a lookup.
     let mut misses: Vec<(Entry, String)> = Vec::new();
     for mut entry in batch {
         let prep = entry.span.mark("prep");

@@ -40,6 +40,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use cwp_chaos::ChaosIo;
 
@@ -170,6 +171,10 @@ pub struct RecordedTrace {
     /// References per full chunk (every chunk but the last is full).
     chunk_refs: usize,
     summary: TraceSummary,
+    /// [`RecordedTrace::content_hash`], filled by its first call. The
+    /// recording never changes after [`TraceRecorder::finish`], so the
+    /// cached value cannot go stale.
+    hash: OnceLock<u64>,
 }
 
 impl Default for RecordedTrace {
@@ -179,6 +184,7 @@ impl Default for RecordedTrace {
             len: 0,
             chunk_refs: CHUNK_REFS,
             summary: TraceSummary::default(),
+            hash: OnceLock::new(),
         }
     }
 }
@@ -186,7 +192,8 @@ impl Default for RecordedTrace {
 impl PartialEq for RecordedTrace {
     /// Segmentation-independent equality: same summary, same reference
     /// sequence. A trace recorded at one chunk size equals its disk
-    /// round trip re-chunked at another.
+    /// round trip re-chunked at another. Whether the content hash has
+    /// been cached yet does not matter.
     fn eq(&self, other: &Self) -> bool {
         self.summary == other.summary
             && self.len == other.len
@@ -269,41 +276,53 @@ impl RecordedTrace {
     /// digest is a stable identity for memoizing simulation results
     /// keyed by `(trace, configuration)` — including across processes
     /// and save/load round trips, which byte-preserve the encoding.
+    ///
+    /// The hash is computed lazily: the first call scans the whole
+    /// recording byte by byte, and every later call on this recording
+    /// (or on a clone made after it) returns the cached value. A server
+    /// that answers every request for a workload from one shared
+    /// recording therefore pays the scan once, not once per request.
+    /// It is deliberately not computed in [`TraceRecorder::finish`]:
+    /// most recordings are replayed and never hashed. A paper-scale
+    /// sweep records 187.6M references, and at ~19 ns per reference
+    /// eager hashing would add about 3.5 s that nobody reads.
     pub fn content_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        for word in [
-            self.summary.instructions,
-            self.summary.reads,
-            self.summary.writes,
-            self.len as u64,
-        ] {
-            word.to_le_bytes().into_iter().for_each(&mut eat);
-        }
-        // Chunk sizes are multiples of 4, so the concatenated per-chunk
-        // byte streams are exactly the flat encoding's: the hash is
-        // independent of segmentation.
-        for c in &self.chunks {
-            for gap in &c.gaps {
-                gap.to_le_bytes().into_iter().for_each(&mut eat);
+        *self.hash.get_or_init(|| {
+            const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+            let mut h = FNV_OFFSET;
+            let mut eat = |byte: u8| {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            };
+            for word in [
+                self.summary.instructions,
+                self.summary.reads,
+                self.summary.writes,
+                self.len as u64,
+            ] {
+                word.to_le_bytes().into_iter().for_each(&mut eat);
             }
-        }
-        for c in &self.chunks {
-            for addr in &c.addrs {
-                addr.to_le_bytes().into_iter().for_each(&mut eat);
+            // Chunk sizes are multiples of 4, so the concatenated
+            // per-chunk byte streams are exactly the flat encoding's:
+            // the hash is independent of segmentation.
+            for c in &self.chunks {
+                for gap in &c.gaps {
+                    gap.to_le_bytes().into_iter().for_each(&mut eat);
+                }
             }
-        }
-        for c in &self.chunks {
-            for &meta in &c.meta {
-                eat(meta);
+            for c in &self.chunks {
+                for addr in &c.addrs {
+                    addr.to_le_bytes().into_iter().for_each(&mut eat);
+                }
             }
-        }
-        h
+            for c in &self.chunks {
+                for &meta in &c.meta {
+                    eat(meta);
+                }
+            }
+            h
+        })
     }
 
     /// The `i`-th reference.
@@ -726,6 +745,51 @@ mod tests {
             RecordedTrace::default().content_hash(),
             "the empty trace hashes differently"
         );
+    }
+
+    /// `content_hash()` of `met` at `Scale::Test`. Memo journals written
+    /// by earlier servers are keyed by this value, so it must not move.
+    const MET_TEST_HASH: u64 = 0x5b68_b037_b6ab_3f23;
+
+    #[test]
+    fn content_hash_is_pinned_cached_and_shared_by_every_copy() {
+        let original = RecordedTrace::record(workloads::met().as_ref(), Scale::Test);
+        assert!(original.hash.get().is_none(), "recording must not hash");
+        // A clone, a disk round trip and a 64-ref rechunk of `t`.
+        let copies = |t: &RecordedTrace| {
+            let mut bytes = Vec::new();
+            t.write_to(&mut bytes).unwrap();
+            [
+                t.clone(),
+                RecordedTrace::read_from(&bytes[..]).unwrap(),
+                rechunk(t, 64),
+            ]
+        };
+
+        // Copies hashed before the original's hash is cached...
+        let before = copies(&original);
+        for (i, copy) in before.iter().enumerate() {
+            assert_eq!(copy.content_hash(), MET_TEST_HASH, "early copy {i}");
+        }
+        assert!(original.hash.get().is_none(), "copies hash on their own");
+
+        assert_eq!(original.content_hash(), MET_TEST_HASH);
+        assert_eq!(original.hash.get(), Some(&MET_TEST_HASH), "cached");
+        assert_eq!(original.content_hash(), MET_TEST_HASH, "repeat call");
+
+        // ...and copies made after: a clone carries the cached value,
+        // the others compute the same one afresh.
+        let after = copies(&original);
+        assert_eq!(after[0].hash.get(), Some(&MET_TEST_HASH));
+        assert!(after[1].hash.get().is_none() && after[2].hash.get().is_none());
+        for (i, copy) in after.iter().enumerate() {
+            assert_eq!(copy.content_hash(), MET_TEST_HASH, "late copy {i}");
+        }
+
+        // Equality ignores whether the hash was cached.
+        let unhashed = RecordedTrace::record(workloads::met().as_ref(), Scale::Test);
+        assert_eq!(unhashed, original);
+        assert!(unhashed.hash.get().is_none());
     }
 
     #[test]

@@ -123,7 +123,8 @@ trap 'rm -rf "$TRACE_DIR" "$KILL_DIR" "$REPLAY_DIR" "$FUZZ_DIR" "$SERVE_DIR"; \
      kill "$SERVE_PID" 2>/dev/null || true' EXIT
 SERVE_PID=""
 start_serve() {
-    # $@: extra server flags. Sets SERVE_PID and SERVE_ADDR.
+    # $@: extra server flags; a repeated flag overrides the default
+    # given here. Sets SERVE_PID and SERVE_ADDR.
     "$SERVE" --scale test --addr 127.0.0.1:0 --memo-dir "$SERVE_DIR/memo" \
         "$@" > "$SERVE_DIR/serve.out" 2> "$SERVE_DIR/serve.err" &
     SERVE_PID=$!
@@ -211,6 +212,20 @@ P99=$(sed -n 's/.*"p99_us":\([0-9]*\).*/\1/p' results/BENCH_serve.json | head -n
     || { echo "verify: BENCH_serve.json is missing p99_us" >&2; exit 1; }
 [ "$P99" -le 250000 ] \
     || { echo "verify: bench p99 ${P99}us above the 250ms ceiling" >&2; exit 1; }
+# The same floor at quick scale, where each recording holds ~1M refs:
+# a warm hit that rescanned its trace to hash it would pay ~17 ms here,
+# which the tiny test-scale traces above cannot show.
+start_serve --scale quick --memo-dir "$SERVE_DIR/memo-quick" --workers 2 --threads 2
+"$LOAD" --addr "$SERVE_ADDR" --requests 3000 --clients 2 --warmup \
+    > "$SERVE_DIR/quick-warm.json" \
+    || { echo "verify: cwp-load failed against the quick-scale server" >&2; exit 1; }
+kill "$SERVE_PID" 2>/dev/null || true
+wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""
+QUICK_RPS=$(sed -n 's/.*"requests_per_second":\([0-9]*\)[.,}].*/\1/p' "$SERVE_DIR/quick-warm.json")
+[ "${QUICK_RPS:-0}" -ge 10000 ] \
+    || { echo "verify: quick-scale warm throughput ${QUICK_RPS:-0} rps below the 10k floor" >&2; exit 1; }
+echo "verify: warm rps $RPS at test scale, $QUICK_RPS at quick scale (floor 10000)"
 
 echo "==> crash-point explorer (every durable artifact, fixed seed)"
 # Records each component's real write history, crashes it at every write
@@ -314,19 +329,29 @@ elif [ "${BASE_CORES:-0}" -ne "${CORES:-1}" ]; then
     echo "verify: results/BENCH_parallel.json was recorded on ${BASE_CORES:-unknown} core(s)," \
         "this host has $CORES — skipping the sharded perf gate (re-record the baseline here to gate)"
 else
-    CWP_BENCH_MS=300 CWP_BENCH_JSON="$SERVE_DIR/parallel.json" \
-        cargo bench -q --offline -p cwp-bench --bench parallel > /dev/null \
-        || { echo "verify: parallel bench failed (sharded divergence?)" >&2; exit 1; }
     # The gate compares the sharded/serial wall-clock ratio, not absolute
-    # seconds, so it holds across machines of different speeds.
+    # seconds, so it holds across machines of different speeds. One run
+    # on a shared host spreads wider than the 20% margin, so the gate
+    # takes the median of three.
     ratio() { sed -n 's/.*"suite_sharded_ratio": \([0-9.]*\).*/\1/p' "$1" | head -n 1; }
+    RATIOS=""
+    for RUN in 1 2 3; do
+        CWP_BENCH_MS=300 CWP_BENCH_JSON="$SERVE_DIR/parallel-$RUN.json" \
+            cargo bench -q --offline -p cwp-bench --bench parallel > /dev/null \
+            || { echo "verify: parallel bench failed (sharded divergence?)" >&2; exit 1; }
+        RUN_RATIO=$(ratio "$SERVE_DIR/parallel-$RUN.json")
+        [ -n "${RUN_RATIO:-}" ] \
+            || { echo "verify: parallel bench report is missing suite_sharded_ratio" >&2; exit 1; }
+        RATIOS="$RATIOS $RUN_RATIO"
+    done
     BASE_RATIO=$(ratio results/BENCH_parallel.json)
-    CUR_RATIO=$(ratio "$SERVE_DIR/parallel.json")
-    [ -n "${BASE_RATIO:-}" ] && [ -n "${CUR_RATIO:-}" ] \
-        || { echo "verify: parallel bench reports are missing suite_sharded_ratio" >&2; exit 1; }
+    # shellcheck disable=SC2086
+    CUR_RATIO=$(printf '%s\n' $RATIOS | sort -n | sed -n 2p)
+    [ -n "${BASE_RATIO:-}" ] \
+        || { echo "verify: results/BENCH_parallel.json is missing suite_sharded_ratio" >&2; exit 1; }
     awk -v cur="$CUR_RATIO" -v base="$BASE_RATIO" 'BEGIN { exit !(cur <= base * 1.2) }' \
-        || { echo "verify: sharded suite ratio $CUR_RATIO regressed >20% vs committed baseline $BASE_RATIO" >&2; exit 1; }
-    echo "verify: sharded/serial ratio $CUR_RATIO (baseline $BASE_RATIO) within 20%"
+        || { echo "verify: median sharded suite ratio $CUR_RATIO (runs:$RATIOS) regressed >20% vs committed baseline $BASE_RATIO" >&2; exit 1; }
+    echo "verify: median sharded/serial ratio $CUR_RATIO (runs:$RATIOS, baseline $BASE_RATIO) within 20%"
 fi
 
 echo "verify: OK"
