@@ -16,6 +16,16 @@
 //! branchless compare-and-mask code, and a bank of these fits the sweep
 //! grid in L2 while a 187.6M-reference trace streams past.
 //!
+//! [`CacheConfig::build`] admits only power-of-two sets, so an address
+//! splits into set and tag by a shift and a mask, never a division.
+//!
+//! The engine also counts the bytes its stores wrote
+//! ([`SoaCache::bytes_written`]). Under fetch-on-write and write-validate
+//! the write-hit policy never changes residency, valid bytes or LRU
+//! order, so a write-back engine's outcome plus that count determine its
+//! write-through twin's outcome exactly; `cwp-core`'s sweep plans run one
+//! engine for both.
+//!
 //! Fault injection observes the data bytes, which do not exist here;
 //! [`SoaCache::new`] rejects fault-injecting configurations.
 
@@ -37,7 +47,10 @@ pub struct SoaCache {
     config: CacheConfig,
     line_bytes: u32,
     line_shift: u32,
-    set_count: u32,
+    /// `log2(sets)`: a line address shifted right by it is the tag.
+    set_shift: u32,
+    /// `sets - 1`: a line address masked by it is the set.
+    set_mask: u64,
     ways: u32,
     /// Per-line tag words, indexed `set * ways + way`.
     tags: Vec<u64>,
@@ -48,6 +61,8 @@ pub struct SoaCache {
     /// Per-line LRU timestamps.
     last_used: Vec<u64>,
     tick: u64,
+    /// Bytes written by every store so far.
+    bytes_written: u64,
     stats: CacheStats,
     traffic: Traffic,
 }
@@ -67,17 +82,21 @@ impl SoaCache {
         );
         let line_bytes = config.line_bytes();
         let lines = config.lines() as usize;
+        let sets = config.sets();
+        debug_assert!(sets.is_power_of_two(), "{sets} sets: not a power of two");
         SoaCache {
             config,
             line_bytes,
             line_shift: line_bytes.trailing_zeros(),
-            set_count: config.sets(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: u64::from(sets) - 1,
             ways: config.associativity(),
             tags: vec![0; lines],
             valid: vec![0; lines],
             dirty: vec![0; lines],
             last_used: vec![0; lines],
             tick: 0,
+            bytes_written: 0,
             stats: CacheStats::default(),
             traffic: Traffic::default(),
         }
@@ -98,8 +117,16 @@ impl SoaCache {
         self.traffic
     }
 
+    /// Bytes written by every store so far, whether it hit or missed.
+    /// A write-through cache sends exactly these bytes to the next level
+    /// under fetch-on-write and write-validate.
+    pub fn bytes_written(&self) -> u64 {
+        self.bytes_written
+    }
+
     /// Registers a read of `len` bytes at `addr`, splitting at line
-    /// boundaries exactly like [`Cache::read`](crate::Cache::read).
+    /// boundaries exactly like [`Cache::read`](crate::Cache::read). A
+    /// zero-length read is a no-op.
     pub fn read(&mut self, addr: u64, len: usize) {
         let line = u64::from(self.line_bytes);
         let mut pos = 0usize;
@@ -113,8 +140,10 @@ impl SoaCache {
     }
 
     /// Registers a write of `len` bytes at `addr`, splitting at line
-    /// boundaries exactly like [`Cache::write`](crate::Cache::write).
+    /// boundaries exactly like [`Cache::write`](crate::Cache::write). A
+    /// zero-length write is a no-op.
     pub fn write(&mut self, addr: u64, len: usize) {
+        self.bytes_written += len as u64;
         let line = u64::from(self.line_bytes);
         let mut pos = 0usize;
         while pos < len {
@@ -150,11 +179,13 @@ impl SoaCache {
     // Address plumbing
     // ------------------------------------------------------------------
 
+    /// Splits `addr` into (set, tag, offset in line) by shifts and masks:
+    /// sets, like lines, come in powers of two.
     #[inline]
     fn decompose(&self, addr: u64) -> (u32, u64, u32) {
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr % u64::from(self.set_count)) as u32;
-        let tag = line_addr / u64::from(self.set_count);
+        let set = (line_addr & self.set_mask) as u32;
+        let tag = line_addr >> self.set_shift;
         let offset = (addr & (u64::from(self.line_bytes) - 1)) as u32;
         (set, tag, offset)
     }
@@ -380,27 +411,36 @@ mod tests {
     /// Drives the same pseudo-random reference stream through the SoA
     /// engine and the golden data-carrying engine and requires identical
     /// stats and traffic at every policy/geometry point — the same
-    /// contract the cwp-core matrix test pins at the sink level.
+    /// contract the cwp-core matrix test pins at the sink level. About
+    /// one access in sixteen is zero bytes long, which both engines must
+    /// ignore.
     fn assert_matches_golden(config: CacheConfig, seed: u64) {
         let mut soa = SoaCache::new(config);
         let mut golden = Cache::with_memory(config);
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut buf = [0u8; 8];
+        let mut written = 0u64;
         for _ in 0..20_000 {
             let r = rng.next_u64();
-            // Bias towards a 64 KB region with conflicts; sizes 1..8,
+            // Bias towards a 64 KB region with conflicts; sizes 0..8,
             // occasionally straddling a line boundary.
             let addr = r % 65_536;
-            let len = 1 + ((r >> 17) % 8) as usize;
+            let len = if r >> 50 & 15 == 0 {
+                0
+            } else {
+                1 + ((r >> 17) % 8) as usize
+            };
             if r >> 40 & 1 == 0 {
                 soa.read(addr, len);
                 golden.read(addr, &mut buf[..len]);
             } else {
                 soa.write(addr, len);
                 golden.write(addr, &buf[..len]);
+                written += len as u64;
             }
         }
         assert_eq!(soa.traffic(), golden.traffic(), "{config:?} execution");
+        assert_eq!(soa.bytes_written(), written, "{config:?}");
         soa.flush();
         golden.flush();
         assert_eq!(soa.stats(), golden.stats(), "{config:?}");

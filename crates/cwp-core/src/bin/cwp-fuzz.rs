@@ -10,7 +10,9 @@
 //! the data-carrying cache, the recorded-trace replay, both plans of
 //! the `sweep` driver (sharded over a recording, streamed from a live
 //! run), and the audited replay — against the naive `cwp-verify`
-//! [`ModelCache`] oracle. Configurations cycle through all
+//! [`ModelCache`] oracle. The sweeps also carry the configuration's
+//! write-hit twin when it has one, so the plan's derived write-through
+//! outcomes face the oracle too. Configurations cycle through all
 //! six valid write-policy combinations; streams cycle through windows
 //! of the six paper workloads plus pure-random, strided, and hot-set
 //! shapes. On divergence the case is shrunk (drop reference chunks,
@@ -30,7 +32,7 @@ use std::process::ExitCode;
 
 use cwp_buffers::CoalescingWriteBuffer;
 use cwp_cache::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
-use cwp_core::{replay, simulate, simulate_audited, sweep, Source};
+use cwp_core::{replay, simulate, simulate_audited, sweep, SimOutcome, Source};
 use cwp_mem::rng::SplitMix64;
 use cwp_trace::{workloads, MemRef, RecordedTrace, Scale, TraceSink, TraceSummary, Workload};
 use cwp_verify::{check_case, check_case_with, shrink, CaseRef, FuzzCase, ModelBug, ModelCache};
@@ -310,6 +312,48 @@ fn gen_case(
 // The full differential check
 // ---------------------------------------------------------------------
 
+/// The configuration with the other write-hit policy, for the miss
+/// policies that admit both (fetch-on-write, write-validate). A sweep
+/// runs one engine for such a pair and derives the write-through
+/// member's outcome from the write-back one's.
+fn twin_of(config: CacheConfig) -> Option<CacheConfig> {
+    if config.write_miss().bypasses() {
+        return None;
+    }
+    let hit = match config.write_hit() {
+        WriteHitPolicy::WriteBack => WriteHitPolicy::WriteThrough,
+        WriteHitPolicy::WriteThrough => WriteHitPolicy::WriteBack,
+    };
+    let twin = config.to_builder().write_hit(hit).build();
+    Some(twin.expect("both write-hit policies allocate under this miss policy"))
+}
+
+/// Describes how the model's stats or total traffic for `config` over
+/// the case's references diverge from `outcome`'s, if they do.
+fn model_divergence(case: &FuzzCase, config: CacheConfig, outcome: &SimOutcome) -> Option<String> {
+    let mut model = ModelCache::new(config);
+    let mut buf = [0u8; 8];
+    for r in &case.refs {
+        if r.write {
+            model.write(r.addr, &buf[..r.size as usize]);
+        } else {
+            model.read(r.addr, &mut buf[..r.size as usize]);
+        }
+    }
+    model.flush();
+    if model.stats() != outcome.stats {
+        return Some(format!(
+            "model stats diverge from live simulate for {config}"
+        ));
+    }
+    if model.traffic() != outcome.traffic_total {
+        return Some(format!(
+            "model traffic diverges from live simulate for {config}"
+        ));
+    }
+    None
+}
+
 /// Lock-steps every engine path against the model. Returns a
 /// description of the first divergence, `None` when the case is clean.
 fn full_check(case: &FuzzCase) -> Option<String> {
@@ -326,21 +370,26 @@ fn full_check(case: &FuzzCase) -> Option<String> {
         return None; // foreign case outside MemRef's alignment domain
     };
     let config = case.config;
+    let twin = twin_of(config);
     let golden = simulate(&stream, Scale::Test, &config);
     let trace = RecordedTrace::record(&stream, Scale::Test);
+    // The bank is [config, twin, default]: a fetch-on-write or
+    // write-validate case builds a twin unit, whichever member it is.
+    let bank: Vec<CacheConfig> = [Some(config), twin, Some(CacheConfig::default())]
+        .into_iter()
+        .flatten()
+        .collect();
     let banked = |source| {
-        sweep(source, &[config, CacheConfig::default()], 2, None)
+        sweep(source, &bank, 2, None)
             .0
-            .and_then(|outcomes| outcomes.into_iter().next())
             .expect("an uncancellable sweep yields one outcome per config")
     };
+    let recorded = banked(Source::Recorded(&trace));
+    let streamed = banked(Source::Live(&stream, Scale::Test));
     let paths = [
         ("replay", replay(&trace, &config)),
-        ("banked-recorded", banked(Source::Recorded(&trace))),
-        (
-            "banked-streamed",
-            banked(Source::Live(&stream, Scale::Test)),
-        ),
+        ("banked-recorded", recorded[0].clone()),
+        ("banked-streamed", streamed[0].clone()),
         (
             "audited-replay",
             match simulate_audited(Source::Recorded(&trace), &config) {
@@ -354,21 +403,24 @@ fn full_check(case: &FuzzCase) -> Option<String> {
             return Some(format!("engine path '{name}' diverges from live simulate"));
         }
     }
-    let mut model = ModelCache::new(config);
-    let mut buf = [0u8; 8];
-    for r in &case.refs {
-        if r.write {
-            model.write(r.addr, &buf[..r.size as usize]);
-        } else {
-            model.read(r.addr, &mut buf[..r.size as usize]);
+    if let Some(d) = model_divergence(case, config, &golden) {
+        return Some(d);
+    }
+    if let Some(twin) = twin {
+        let twin_golden = simulate(&stream, Scale::Test, &twin);
+        for (name, outcomes) in [
+            ("banked-recorded", &recorded),
+            ("banked-streamed", &streamed),
+        ] {
+            if outcomes[1] != twin_golden {
+                return Some(format!(
+                    "engine path '{name}' diverges from live simulate for twin {twin}"
+                ));
+            }
         }
-    }
-    model.flush();
-    if model.stats() != golden.stats {
-        return Some("model stats diverge from live simulate".to_string());
-    }
-    if model.traffic() != golden.traffic_total {
-        return Some("model traffic diverges from live simulate".to_string());
+        if let Some(d) = model_divergence(case, twin, &twin_golden) {
+            return Some(d);
+        }
     }
     // 3. Coalescing write buffer conservation over the case's store
     //    stream: every write is either merged or (eventually) retired,

@@ -12,15 +12,20 @@
 //! * a live workload runs its generator once, streaming bounded chunks
 //!   of references through the whole bank.
 //!
-//! Both plans poll an optional [`CancelToken`] and produce outcomes
-//! identical to per-configuration [`simulate`] calls at every thread
-//! count. [`simulate_many_sharded`] stays public because it is the
+//! Both plans first group the bank into engine units with one plan
+//! builder: a write-through fetch-on-write or write-validate
+//! configuration rides on its write-back twin's engine, and its outcome
+//! is derived when that engine settles. Both poll an optional
+//! [`CancelToken`] and produce outcomes identical to per-configuration
+//! [`simulate`] calls at every thread count. [`simulate_many_sharded`] stays public because it is the
 //! recorded plan itself: the `perfbench` harness and the serve
 //! equivalence checks call it on a bare recording to time the plan and
 //! to compute the result a server must reproduce.
 
-use cwp_cache::{Cache, CacheConfig, CacheStats, NullProbe, Probe, SoaCache};
-use cwp_mem::{CwpError, MainMemory, Traffic, TrafficRecorder};
+use cwp_cache::{
+    Cache, CacheConfig, CacheStats, NullProbe, Probe, SoaCache, WriteHitPolicy, WriteMissPolicy,
+};
+use cwp_mem::{CwpError, MainMemory, Traffic, TrafficClass, TrafficRecorder};
 use cwp_trace::{AccessKind, MemRef, RecordedTrace, Scale, TraceSink, TraceSummary, Workload};
 use cwp_verify::InvariantAuditor;
 
@@ -166,6 +171,12 @@ impl<P: Probe> TraceSink for CacheSink<P> {
 /// outcomes bit-identical to [`CacheSink`]'s (the policy/geometry matrix
 /// test below pins it against the golden engine), at a fraction of the
 /// per-reference cost and ~32 bytes of state per line.
+///
+/// In a [`sweep`], one write-back fetch-on-write or write-validate sink
+/// also answers its write-through twin: the write-hit policy never
+/// changes residency, valid bytes or LRU order under those miss
+/// policies, so the twin's outcome is derived from this one's when it
+/// settles (see [`simulate_many_sharded`]).
 #[derive(Debug, Clone)]
 pub struct DataFreeSink {
     cache: SoaCache,
@@ -212,6 +223,119 @@ impl TraceSink for DataFreeSink {
             AccessKind::Write => self.cache.write(r.addr, r.size as usize),
         }
     }
+}
+
+/// The write-through twin's outcome, derived from the outcome of a
+/// write-back fetch-on-write or write-validate engine whose stores wrote
+/// `bytes_written` bytes.
+///
+/// The twin holds the same lines with the same valid bytes in the same
+/// LRU order, so it hits, misses, fetches and evicts exactly as the
+/// write-back engine does. It differs only in what a store leaves
+/// behind: no line is ever dirty, so nothing is written back, and every
+/// store piece goes through to the next level.
+fn write_through_twin(write_back: &SimOutcome, bytes_written: u64) -> SimOutcome {
+    let mut stats = write_back.stats;
+    stats.writes_to_dirty = 0;
+    for victims in [&mut stats.victims, &mut stats.flush] {
+        victims.dirty = 0;
+        victims.dirty_bytes = 0;
+    }
+    let through = |traffic: Traffic| Traffic {
+        write_back: TrafficClass::default(),
+        write_through: TrafficClass {
+            transactions: stats.writes,
+            bytes: bytes_written,
+        },
+        ..traffic
+    };
+    SimOutcome {
+        summary: write_back.summary,
+        stats,
+        traffic_execution: through(write_back.traffic_execution),
+        traffic_total: through(write_back.traffic_total),
+    }
+}
+
+/// One engine of a sweep plan and every bank index it answers. Built by
+/// [`plan_units`], the one plan builder both [`sweep`] plans use.
+struct Unit {
+    /// The configuration the engine runs.
+    config: CacheConfig,
+    /// Bank indices answered with the engine's own outcome.
+    direct: Vec<usize>,
+    /// Bank indices of write-through configurations answered with the
+    /// outcome derived from this write-back engine's.
+    write_through: Vec<usize>,
+}
+
+impl Unit {
+    /// Answers every member from the engine's settled `outcome`;
+    /// `bytes_written` is what the engine's stores wrote.
+    fn answer(&self, outcome: SimOutcome, bytes_written: u64) -> Vec<(usize, SimOutcome)> {
+        let mut answers = Vec::with_capacity(self.direct.len() + self.write_through.len());
+        if !self.write_through.is_empty() {
+            let twin = write_through_twin(&outcome, bytes_written);
+            answers.extend(self.write_through.iter().map(|&i| (i, twin.clone())));
+        }
+        answers.extend(self.direct.iter().map(|&i| (i, outcome.clone())));
+        answers
+    }
+
+    /// Settles this unit's data-free engine and answers every member.
+    fn settle_free(&self, sink: DataFreeSink, summary: TraceSummary) -> Vec<(usize, SimOutcome)> {
+        let bytes_written = sink.cache().bytes_written();
+        self.answer(sink.settle(summary), bytes_written)
+    }
+}
+
+/// Groups a sweep bank into engine units, in order of first appearance.
+///
+/// Each fault-injecting configuration is a unit of its own. Fault-free
+/// configurations share one engine per distinct engine configuration,
+/// and a write-through fetch-on-write or write-validate configuration's
+/// engine is its write-back twin: the same configuration with
+/// `write_hit = WriteBack`, every other field (`partial_writeback` and
+/// `protection` included) equal. That is exact because under those miss
+/// policies the write-hit policy decides only whether a written line
+/// turns dirty and whether the store goes through, never which lines are
+/// resident, their valid bytes or their LRU order.
+fn plan_units(configs: &[CacheConfig]) -> Vec<Unit> {
+    let mut units: Vec<Unit> = Vec::new();
+    for (i, &config) in configs.iter().enumerate() {
+        let fault_free = config.fault_rate_ppm() == 0;
+        let derived = fault_free
+            && config.write_hit() == WriteHitPolicy::WriteThrough
+            && matches!(
+                config.write_miss(),
+                WriteMissPolicy::FetchOnWrite | WriteMissPolicy::WriteValidate
+            );
+        let engine = if derived {
+            config
+                .to_builder()
+                .write_hit(WriteHitPolicy::WriteBack)
+                .build_unchecked()
+        } else {
+            config
+        };
+        let unit = match units.iter().position(|u| fault_free && u.config == engine) {
+            Some(u) => &mut units[u],
+            None => {
+                units.push(Unit {
+                    config: engine,
+                    direct: Vec::new(),
+                    write_through: Vec::new(),
+                });
+                units.last_mut().expect("just pushed")
+            }
+        };
+        if derived {
+            unit.write_through.push(i);
+        } else {
+            unit.direct.push(i);
+        }
+    }
+    units
 }
 
 /// Runs `workload` at `scale` through a cache built from `config`,
@@ -337,16 +461,40 @@ pub fn sweep(
     match source {
         Source::Recorded(trace) => simulate_many_sharded(trace, configs, threads, cancel),
         Source::Live(workload, scale) => {
-            let bank = configs.iter().map(|&c| BankSink::new(c)).collect();
-            let outcomes = run_streamed(workload, scale, bank, threads, cancel);
+            let units = plan_units(configs);
+            let mut bank: Vec<BankSink> = units.iter().map(|u| BankSink::new(u.config)).collect();
+            let outcomes =
+                run_streamed(workload, scale, &mut bank, threads, cancel).map(|summary| {
+                    let answers = units
+                        .iter()
+                        .zip(bank)
+                        .map(|(u, sink)| sink.settle(u, summary));
+                    reassemble(configs.len(), answers)
+                });
             (outcomes, ShardReport::default())
         }
     }
 }
 
-/// One member of a streamed sweep's configuration bank: the data-free
-/// SoA engine where the statistics allow it, the data-carrying engine
-/// for fault-injecting configurations, whose statistics depend on the
+/// Puts every answer at its configuration index: the outcome vector
+/// does not depend on how the plan grouped or ordered its engines.
+fn reassemble(
+    len: usize,
+    answers: impl IntoIterator<Item = Vec<(usize, SimOutcome)>>,
+) -> Vec<SimOutcome> {
+    let mut outcomes: Vec<Option<SimOutcome>> = vec![None; len];
+    for (i, outcome) in answers.into_iter().flatten() {
+        outcomes[i] = Some(outcome);
+    }
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every configuration has a unit"))
+        .collect()
+}
+
+/// One engine of a streamed sweep's bank: the data-free SoA engine
+/// where the statistics allow it, the data-carrying engine for
+/// fault-injecting configurations, whose statistics depend on the
 /// bytes. A recorded shard's bank is one engine throughout, so it holds
 /// the engines directly (see [`replay_polled`]).
 enum BankSink {
@@ -386,25 +534,34 @@ impl BankSink {
         }
     }
 
-    fn settle(self, summary: TraceSummary) -> SimOutcome {
+    /// Settles the engine and answers every member of its `unit`.
+    fn settle(self, unit: &Unit, summary: TraceSummary) -> Vec<(usize, SimOutcome)> {
         match self {
-            BankSink::Free(sink) => sink.settle(summary),
-            BankSink::Full(sink) => settle(*sink, summary).0,
+            BankSink::Free(sink) => unit.settle_free(*sink, summary),
+            // A fault-injecting unit answers only its own configuration.
+            BankSink::Full(sink) => unit.answer(settle(*sink, summary).0, 0),
             #[cfg(test)]
-            BankSink::Probe { inner, .. } => inner.settle(summary),
+            BankSink::Probe { inner, .. } => unit.settle_free(*inner, summary),
         }
     }
 }
 
 /// The recorded plan of [`sweep`], executed as stealable shards on up
-/// to `threads` workers via [`run_shards`]: fault-free configurations
-/// are grouped into data-free banks (each shard decodes the trace once
-/// for its group), and each fault-injecting one becomes a one-member
-/// bank on the data-carrying engine. Every shard replays the trace once
-/// through its whole bank, polling `cancel` every 4096 references.
-/// Results are reassembled by configuration index, so the outcome
-/// vector is identical at every thread count and steal order;
-/// `threads <= 1` runs the whole plan inline.
+/// to `threads` workers via [`run_shards`]. The bank is first grouped
+/// into engine units by the plan builder the streamed plan uses too:
+/// fault-free configurations run on data-free engines, one per distinct
+/// engine configuration, and a write-through fetch-on-write or
+/// write-validate configuration shares its write-back twin's engine,
+/// whose settled outcome its own is derived from (exact, because under
+/// those miss policies the write-hit policy never changes residency,
+/// valid bytes or LRU order). Contiguous groups of the fault-free units
+/// make shards (each shard decodes the trace once for its group), and
+/// each fault-injecting configuration becomes a one-member shard on the
+/// data-carrying engine. Every shard replays the trace once through its
+/// whole bank, polling `cancel` every 4096 references. Results are
+/// reassembled by configuration index, so the outcome vector is
+/// identical at every thread count and steal order; `threads <= 1`
+/// runs the whole plan inline.
 ///
 /// Returns `(None, report)` if `cancel` trips mid-sweep; pass no token
 /// for an uncancellable sweep.
@@ -416,57 +573,52 @@ pub fn simulate_many_sharded(
 ) -> (Option<Vec<SimOutcome>>, ShardReport) {
     let threads = threads.max(1);
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let (free, faulty): (Vec<usize>, Vec<usize>) =
-        (0..configs.len()).partition(|&i| configs[i].fault_rate_ppm() == 0);
-    // Shard plan: contiguous groups of the fault-free bank (several per
+    let units = plan_units(configs);
+    let (free, faulty): (Vec<&Unit>, Vec<&Unit>) =
+        units.iter().partition(|u| u.config.fault_rate_ppm() == 0);
+    // Shard plan: contiguous groups of the fault-free units (several per
     // worker, so stealing can balance uneven groups), then one shard
     // per fault-injecting configuration.
-    let mut shards: Vec<Vec<usize>> = Vec::new();
+    let mut shards: Vec<Vec<&Unit>> = Vec::new();
     if !free.is_empty() {
         let group = free.len().div_ceil(threads * 4);
-        shards.extend(free.chunks(group).map(<[usize]>::to_vec));
+        shards.extend(free.chunks(group).map(<[&Unit]>::to_vec));
     }
-    shards.extend(faulty.into_iter().map(|i| vec![i]));
+    shards.extend(faulty.into_iter().map(|u| vec![u]));
 
     let summary = trace.summary();
     let run_shard = |s: usize| -> Option<Vec<(usize, SimOutcome)>> {
-        let members = &shards[s];
-        let outcomes: Vec<SimOutcome> = match members[..] {
-            [i] if configs[i].fault_rate_ppm() != 0 => {
-                let mut bank = [CacheSink::new(configs[i])];
+        match shards[s][..] {
+            [unit] if unit.config.fault_rate_ppm() != 0 => {
+                let mut bank = [CacheSink::new(unit.config)];
                 replay_polled(trace, &mut bank, cancel)?;
                 let [sink] = bank;
-                vec![settle(sink, summary).0]
+                Some(unit.answer(settle(sink, summary).0, 0))
             }
-            _ => {
+            ref members => {
                 let mut bank: Vec<DataFreeSink> = members
                     .iter()
-                    .map(|&i| DataFreeSink::new(configs[i]))
+                    .map(|u| DataFreeSink::new(u.config))
                     .collect();
                 replay_polled(trace, &mut bank, cancel)?;
-                bank.into_iter().map(|sink| sink.settle(summary)).collect()
+                let answers = members.iter().zip(bank);
+                Some(
+                    answers
+                        .flat_map(|(u, sink)| u.settle_free(sink, summary))
+                        .collect(),
+                )
             }
-        };
-        Some(members.iter().copied().zip(outcomes).collect())
+        }
     };
 
     let (shard_results, report) = run_shards(shards.len(), threads, run_shard);
-    let mut outcomes: Vec<Option<SimOutcome>> = configs.iter().map(|_| None).collect();
-    for group in shard_results {
-        let Some(group) = group else {
-            return (None, report);
-        };
-        for (i, outcome) in group {
-            outcomes[i] = Some(outcome);
-        }
-    }
+    let Some(answers) = shard_results.into_iter().collect::<Option<Vec<_>>>() else {
+        return (None, report);
+    };
     if cancelled() {
         return (None, report);
     }
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every configuration was sharded"));
-    (Some(outcomes.collect()), report)
+    (Some(reassemble(configs.len(), answers)), report)
 }
 
 /// Replays `trace` once through every sink of a one-engine `bank`,
@@ -559,7 +711,8 @@ impl TraceSink for ChunkedTee<'_> {
 }
 
 /// The streamed plan of [`sweep`]: runs `workload` once through a
-/// [`ChunkedTee`] over `bank` and settles every member. A paper-scale
+/// [`ChunkedTee`] over `bank` (one engine per [`Unit`]) and returns the
+/// run's summary for the caller to settle the bank with. A paper-scale
 /// workload streams through one ~16 MiB chunk buffer instead of a
 /// multi-GiB resident recording, and still pays one generator pass for
 /// the whole sweep.
@@ -569,26 +722,23 @@ impl TraceSink for ChunkedTee<'_> {
 fn run_streamed(
     workload: &dyn Workload,
     scale: Scale,
-    mut bank: Vec<BankSink>,
+    bank: &mut [BankSink],
     threads: usize,
     cancel: Option<&CancelToken>,
-) -> Option<Vec<SimOutcome>> {
+) -> Option<TraceSummary> {
     if cancel.is_some_and(CancelToken::is_cancelled) {
         return None;
     }
     let mut tee = ChunkedTee {
         buffer: Vec::new(),
-        sinks: &mut bank,
+        sinks: bank,
         threads,
         cancel,
         cancelled: false,
     };
     let summary = workload.run(scale, &mut tee);
     tee.flush();
-    if tee.cancelled {
-        return None;
-    }
-    Some(bank.into_iter().map(|sink| sink.settle(summary)).collect())
+    (!tee.cancelled).then_some(summary)
 }
 
 // ---------------------------------------------------------------------
@@ -827,6 +977,138 @@ mod tests {
         }
     }
 
+    /// A seeded SplitMix64 reference stream over a 4 KB region: aligned
+    /// 4 B and 8 B reads and writes, so 8 B stores straddle 4 B lines.
+    struct RandomStream {
+        seed: u64,
+        refs: usize,
+    }
+
+    impl Workload for RandomStream {
+        fn name(&self) -> &'static str {
+            "random-stream"
+        }
+
+        fn description(&self) -> &'static str {
+            "seeded SplitMix64 reads and writes over 4 KB"
+        }
+
+        fn run(&self, _scale: Scale, sink: &mut dyn TraceSink) -> TraceSummary {
+            let mut rng = cwp_mem::SplitMix64::seed_from_u64(self.seed);
+            let mut summary = TraceSummary::default();
+            for _ in 0..self.refs {
+                let size = if rng.gen_bool() { 8 } else { 4 };
+                let addr = rng.below(4096) & !(u64::from(size) - 1);
+                let r = if rng.gen_bool() {
+                    summary.writes += 1;
+                    MemRef::write(addr, size)
+                } else {
+                    summary.reads += 1;
+                    MemRef::read(addr, size)
+                };
+                summary.instructions += u64::from(r.before_insts);
+                sink.record(r);
+            }
+            summary
+        }
+    }
+
+    #[test]
+    fn derived_write_through_twins_match_the_data_carrying_engine() {
+        // Every bank shape the twin plan must get right, at every
+        // geometry that changes how stores split, evict and write back:
+        // sweep must equal per-config replay on the data-carrying engine.
+        let mut seeds = cwp_mem::SplitMix64::seed_from_u64(0x7717);
+        for line in [4u32, 16, 64] {
+            for ways in [1u32, 2, 8] {
+                for partial in [false, true] {
+                    let w = RandomStream {
+                        seed: seeds.next_u64(),
+                        refs: 3_000,
+                    };
+                    let trace = RecordedTrace::record(&w, Scale::Test);
+                    let base = CacheConfig::builder()
+                        .size_bytes(1024)
+                        .line_bytes(line)
+                        .associativity(ways)
+                        .partial_writeback(partial);
+                    let with = |hit, miss| base.clone().write_hit(hit).write_miss(miss).build();
+                    let wa = with(WriteHitPolicy::WriteThrough, WriteMissPolicy::WriteAround);
+                    let wi = with(
+                        WriteHitPolicy::WriteThrough,
+                        WriteMissPolicy::WriteInvalidate,
+                    );
+                    for miss in [
+                        WriteMissPolicy::FetchOnWrite,
+                        WriteMissPolicy::WriteValidate,
+                    ] {
+                        let wb = with(WriteHitPolicy::WriteBack, miss).unwrap();
+                        let wt = with(WriteHitPolicy::WriteThrough, miss).unwrap();
+                        let faulty_wt = wt.to_builder().fault_rate_ppm(5_000).build().unwrap();
+                        let banks: [&[CacheConfig]; 5] = [
+                            &[wb, wt],
+                            &[wt],
+                            &[wt, wb, wt],
+                            &[wt, wt],
+                            &[wa.unwrap(), wt, faulty_wt, wb, wi.unwrap()],
+                        ];
+                        for bank in banks {
+                            let golden: Vec<SimOutcome> =
+                                bank.iter().map(|c| replay(&trace, c)).collect();
+                            for source in [Source::Recorded(&trace), Source::Live(&w, Scale::Test)]
+                            {
+                                for threads in [1, 2] {
+                                    let (swept, _) = sweep(source, bank, threads, None);
+                                    let swept = swept.expect("an uncancellable sweep completes");
+                                    for ((got, want), config) in swept.iter().zip(&golden).zip(bank)
+                                    {
+                                        assert_eq!(
+                                            got, want,
+                                            "{config:?} in {bank:?}, {threads} threads"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn twin_units_group_only_exact_write_back_twins() {
+        let wb = CacheConfig::default();
+        let wt = wb
+            .to_builder()
+            .write_hit(WriteHitPolicy::WriteThrough)
+            .build()
+            .unwrap();
+        let wt_partial = wt.to_builder().partial_writeback(true).build().unwrap();
+        let wa = wt
+            .to_builder()
+            .write_miss(WriteMissPolicy::WriteAround)
+            .build()
+            .unwrap();
+        let faulty_wt = wt.to_builder().fault_rate_ppm(1).build().unwrap();
+        let units = plan_units(&[wt, wa, wb, wt_partial, faulty_wt, faulty_wt]);
+        let shape: Vec<_> = units
+            .iter()
+            .map(|u| (u.config, u.direct.clone(), u.write_through.clone()))
+            .collect();
+        let wb_partial = wb.to_builder().partial_writeback(true).build().unwrap();
+        assert_eq!(
+            shape,
+            [
+                (wb, vec![2], vec![0]),
+                (wa, vec![1], vec![]),
+                (wb_partial, vec![], vec![3]),
+                (faulty_wt, vec![4], vec![]),
+                (faulty_wt, vec![5], vec![]),
+            ]
+        );
+    }
+
     #[test]
     fn fault_injecting_configs_fall_back_to_the_full_engine() {
         let w = workloads::grr();
@@ -1011,7 +1293,7 @@ mod tests {
         use std::sync::Arc;
 
         let fed = Arc::new(AtomicU64::new(0));
-        let bank = vec![BankSink::Probe {
+        let mut bank = vec![BankSink::Probe {
             fed: Arc::clone(&fed),
             stall: std::time::Duration::from_millis(5),
             inner: Box::new(DataFreeSink::new(CacheConfig::default())),
@@ -1023,7 +1305,7 @@ mod tests {
             // Fire just after the first chunk flushes.
             cancel_at: STREAM_CHUNK_REFS + 1,
         };
-        let outcomes = run_streamed(&w, Scale::Test, bank, 1, Some(&token));
+        let outcomes = run_streamed(&w, Scale::Test, &mut bank, 1, Some(&token));
         assert!(outcomes.is_none(), "cancelled run must report cancellation");
         assert_eq!(
             fed.load(Ordering::SeqCst),

@@ -114,6 +114,12 @@ cmp results/figures_quick.md "$FUZZ_DIR/quick.md" \
     || { diff results/figures_quick.md "$FUZZ_DIR/quick.md" | head -n 20 >&2; \
          echo "verify: figures --scale quick all differs from results/figures_quick.md" >&2; exit 1; }
 
+echo "==> golden paper-scale figures (results/figures_paper.md; ~1 min on 2 cores)"
+"$FIGURES" --scale paper --quiet all > "$FUZZ_DIR/paper.md"
+cmp results/figures_paper.md "$FUZZ_DIR/paper.md" \
+    || { diff results/figures_paper.md "$FUZZ_DIR/paper.md" | head -n 20 >&2; \
+         echo "verify: figures --scale paper all differs from results/figures_paper.md" >&2; exit 1; }
+
 echo "==> cwp-serve load + chaos gate (admission, panics, kill-and-resume, warm rps)"
 SERVE=target/release/cwp-serve
 LOAD=target/release/cwp-load
