@@ -10,8 +10,9 @@
 //!
 //! The workload scale comes from `CWP_BENCH_SCALE`
 //! (`test|quick|paper|<factor>`, default `quick`): the `paper` knob
-//! drives the generators at the paper's ~187.6M-reference volume, the
-//! regime the chunked trace segments and the shard scheduler exist for.
+//! drives the generators at `Scale::Paper`, 26,992,181 data references
+//! (6.95x fewer than the paper's 187.6M), the regime the chunked trace
+//! segments and the shard scheduler exist for.
 //! Outputs are checksummed against an untimed serial pass on every run
 //! — a sharded divergence is a bench failure, not a number.
 //!

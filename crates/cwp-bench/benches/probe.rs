@@ -2,7 +2,9 @@
 //!
 //! The observability layer claims that a `NullProbe` cache is the same
 //! cache — `Probe::ENABLED` is false, so every emission site compiles
-//! to nothing. This bench drives the same workload through:
+//! to nothing. This bench drives the same workload through the one
+//! engine's sink on the data-free plane (where traced fault-free runs
+//! go) with:
 //!
 //! - `null`: the default `NullProbe` (what every figure run uses);
 //! - `counting`: a `CountingProbe` tallying events by class;
@@ -13,6 +15,7 @@
 
 use cwp_cache::{CacheConfig, NullProbe};
 use cwp_core::sim::CacheSink;
+use cwp_mem::NullMemory;
 use cwp_obs::{CountingProbe, WindowSampler};
 use cwp_trace::{workloads, Scale, TraceSink};
 
@@ -35,17 +38,18 @@ fn main() {
 
     let group = cwp_bench::group("probe-8kb-16b");
     group.bench_throughput("null", refs, || {
-        let mut sink = CacheSink::with_probe(config, NullProbe);
+        let mut sink = CacheSink::<NullMemory, _>::with_probe(config, NullProbe);
         grr.run(Scale::Test, &mut sink);
         sink.cache().stats().accesses()
     });
     group.bench_throughput("counting", refs, || {
-        let mut sink = CacheSink::with_probe(config, CountingProbe::default());
+        let mut sink = CacheSink::<NullMemory, _>::with_probe(config, CountingProbe::default());
         grr.run(Scale::Test, &mut sink);
         sink.cache().stats().accesses()
     });
     group.bench_throughput("sampler", refs, || {
-        let mut sink = CacheSink::with_probe(config, WindowSampler::new(4096, 512));
+        let mut sink =
+            CacheSink::<NullMemory, _>::with_probe(config, WindowSampler::new(4096, 512));
         grr.run(Scale::Test, &mut sink);
         sink.cache().stats().accesses()
     });

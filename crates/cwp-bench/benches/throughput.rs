@@ -3,6 +3,11 @@
 //! These answer the engineering question behind the whole harness: how
 //! many references per second can the cache model sustain, and how fast
 //! can each workload generator emit its trace?
+//!
+//! The `simulate-*` groups drive `CacheSink::new`, the one engine on its
+//! data-free plane: the plane every fault-free figure and sweep runs on.
+//! `raw-ops` times the data plane (`Cache::with_memory`), which carries
+//! and returns bytes.
 
 use cwp_cache::{Cache, CacheConfig, ConfigError, WriteHitPolicy, WriteMissPolicy};
 use cwp_core::sim::CacheSink;

@@ -1,4 +1,21 @@
 //! The cache engine: lookup, replacement, and the policy state machines.
+//!
+//! One engine implements the whole write-hit × write-miss matrix, on one
+//! of two planes picked by the type of its next level:
+//!
+//! * the **data plane** (a next level that keeps bytes, such as
+//!   [`MainMemory`]): lines hold real bytes, so reads return data, the
+//!   fault injector can flip bits, and stacked caches are transparent;
+//! * the **data-free plane** (a next level over [`cwp_mem::NullMemory`],
+//!   whose [`NextLevel::CARRIES_DATA`] is false): no data array or fault
+//!   state exists and every data copy compiles away, as
+//!   probe emissions do under [`NullProbe`]. It rejects fault-injecting
+//!   configurations, whose statistics depend on the bytes.
+//!
+//! Both planes run the same state machine over the same flat metadata
+//! arrays (`tags`, `valid`, `dirty`, `last_used`, indexed
+//! `set * ways + way`), so their statistics, traffic and event streams
+//! are identical for every fault-free configuration.
 
 use cwp_mem::{CwpError, MainMemory, NextLevel, Traffic, TrafficRecorder};
 use cwp_obs::event::{AccessKind, Event, FaultOutcome, FetchCause, WriteMissAction};
@@ -6,13 +23,17 @@ use cwp_obs::{NullProbe, Probe};
 
 use crate::config::CacheConfig;
 use crate::fault::{FaultEvent, FaultInjector, FaultKind, Protection};
-use crate::mask;
+use crate::mask::{self, MAX_LINE_BYTES};
 use crate::policy::{WriteHitPolicy, WriteMissPolicy};
 use crate::stats::CacheStats;
 
 /// Cap on the structured [`FaultEvent`] log; counters in
 /// [`CacheStats::faults`] stay exact past it.
 const FAULT_LOG_CAP: usize = 4096;
+
+/// The bytes a data-free store hands its next level: only their count is
+/// observed.
+static ZERO_LINE: [u8; MAX_LINE_BYTES as usize] = [0; MAX_LINE_BYTES as usize];
 
 /// One outstanding injected bit flip, remembered so ECC correction can
 /// undo it exactly.
@@ -23,32 +44,12 @@ struct Flip {
     bit: u8,
 }
 
-/// Per-line metadata: tag plus per-byte valid and dirty masks.
-#[derive(Debug, Clone, Copy)]
-struct LineMeta {
-    tag: u64,
-    /// Byte `i` of the line holds correct data iff bit `i` is set.
-    valid: u64,
-    /// Byte `i` differs from the next level iff bit `i` is set.
-    dirty: u64,
-    /// LRU timestamp.
-    last_used: u64,
-}
-
-impl LineMeta {
-    const EMPTY: LineMeta = LineMeta {
-        tag: 0,
-        valid: 0,
-        dirty: 0,
-        last_used: 0,
-    };
-}
-
-/// A simulated set-associative, data-carrying cache.
+/// A simulated set-associative cache.
 ///
 /// `N` is the next-lower level of the hierarchy: [`cwp_mem::MainMemory`],
 /// a [`cwp_mem::TrafficRecorder`], a write buffer from `cwp-buffers`, or
 /// another `Cache` (caches implement [`NextLevel`], so hierarchies stack).
+/// Its [`NextLevel::CARRIES_DATA`] picks the plane (see the module docs).
 ///
 /// `P` is an observability [`Probe`] receiving the typed event stream.
 /// It defaults to [`NullProbe`], whose `ENABLED = false` makes every
@@ -62,16 +63,36 @@ pub struct Cache<N, P = NullProbe> {
     config: CacheConfig,
     line_bytes: u32,
     line_shift: u32,
-    set_count: u32,
+    /// `log2(sets)`: a line address shifted right by it is the tag.
+    set_shift: u32,
+    /// `sets - 1`: a line address masked by it is the set.
+    set_mask: u64,
     ways: u32,
-    meta: Vec<LineMeta>,
+    /// `log2(ways)`: a line index shifted right by it is the set.
+    way_shift: u32,
+    /// Per-line tag words, indexed `set * ways + way`.
+    tags: Vec<u64>,
+    /// Per-line masks: byte `i` of the line holds correct data iff bit
+    /// `i` is set; `valid[idx] == 0` means the way is empty.
+    valid: Vec<u64>,
+    /// Per-line masks: byte `i` differs from the next level iff bit `i`
+    /// is set.
+    dirty: Vec<u64>,
+    /// Per-line LRU timestamps.
+    last_used: Vec<u64>,
+    /// Line bytes, line `idx` at `idx * line_bytes`; empty on the
+    /// data-free plane.
     data: Vec<u8>,
-    scratch: Vec<u8>,
     tick: u64,
+    /// Bytes written by every store so far.
+    bytes_written: u64,
     stats: CacheStats,
-    /// Per-line mask of bytes holding an injected (not yet resolved) flip.
-    /// Always zero under [`Protection::None`]: without check bits the
-    /// cache cannot know, so corruption is tracked only in the counters.
+    /// Per-line mask of bytes holding an injected (not yet resolved) flip;
+    /// empty on the data-free plane. Nonzero only for a line some
+    /// outstanding [`Flip`] names, so it is all zero while `flips` is
+    /// empty. Always zero under [`Protection::None`]: without check bits
+    /// the cache cannot know, so corruption is tracked only in the
+    /// counters.
     faulty: Vec<u64>,
     /// Outstanding flips, for exact ECC un-flipping.
     flips: Vec<Flip>,
@@ -88,22 +109,11 @@ pub struct Cache<N, P = NullProbe> {
 /// traffic recorder at its back side.
 pub type MemoryCache = Cache<TrafficRecorder<MainMemory>>;
 
-/// A [`MemoryCache`] carrying an observability probe.
-pub type ProbedMemoryCache<P> = Cache<TrafficRecorder<MainMemory>, P>;
-
 impl MemoryCache {
     /// Creates a cache backed by fresh [`MainMemory`] behind a
     /// [`TrafficRecorder`].
     pub fn with_memory(config: CacheConfig) -> Self {
         Cache::new(config, TrafficRecorder::new(MainMemory::new()))
-    }
-}
-
-impl<P: Probe> ProbedMemoryCache<P> {
-    /// Creates a probed cache backed by fresh [`MainMemory`] behind a
-    /// [`TrafficRecorder`].
-    pub fn with_memory_probed(config: CacheConfig, probe: P) -> Self {
-        Cache::with_probe(config, TrafficRecorder::new(MainMemory::new()), probe)
     }
 }
 
@@ -117,6 +127,10 @@ impl<N: NextLevel, P> Cache<TrafficRecorder<N>, P> {
 impl<N: NextLevel> Cache<N> {
     /// Creates an unobserved cache with `next` as the next-lower
     /// hierarchy level.
+    ///
+    /// # Panics
+    ///
+    /// As [`Cache::with_probe`].
     pub fn new(config: CacheConfig, next: N) -> Self {
         Cache::with_probe(config, next, NullProbe)
     }
@@ -124,21 +138,39 @@ impl<N: NextLevel> Cache<N> {
 
 impl<N: NextLevel, P: Probe> Cache<N, P> {
     /// Creates a cache whose event stream feeds `probe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` carries no data and `config` injects faults: the
+    /// fault model flips data bits, which the data-free plane does not
+    /// hold.
     pub fn with_probe(config: CacheConfig, next: N, probe: P) -> Self {
+        assert!(
+            N::CARRIES_DATA || config.fault_rate_ppm() == 0,
+            "a data-free cache cannot model fault injection"
+        );
         let line_bytes = config.line_bytes();
         let lines = config.lines() as usize;
+        let data_lines = if N::CARRIES_DATA { lines } else { 0 };
+        let sets = config.sets();
+        debug_assert!(sets.is_power_of_two(), "{sets} sets: not a power of two");
         Cache {
             config,
             line_bytes,
             line_shift: line_bytes.trailing_zeros(),
-            set_count: config.sets(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: u64::from(sets) - 1,
             ways: config.associativity(),
-            meta: vec![LineMeta::EMPTY; lines],
-            data: vec![0u8; lines * line_bytes as usize],
-            scratch: vec![0u8; line_bytes as usize],
+            way_shift: config.associativity().trailing_zeros(),
+            tags: vec![0; lines],
+            valid: vec![0; lines],
+            dirty: vec![0; lines],
+            last_used: vec![0; lines],
+            data: vec![0u8; data_lines * line_bytes as usize],
             tick: 0,
+            bytes_written: 0,
             stats: CacheStats::default(),
-            faulty: vec![0u64; lines],
+            faulty: vec![0u64; data_lines],
             flips: Vec::new(),
             injector: FaultInjector::new(config.fault_rate_ppm(), config.fault_seed()),
             fault_log: Vec::new(),
@@ -146,16 +178,6 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
             next,
             probe,
         }
-    }
-
-    /// Shared access to the probe.
-    pub fn probe(&self) -> &P {
-        &self.probe
-    }
-
-    /// Mutable access to the probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
     }
 
     /// Unwraps the cache into its next level and probe (e.g. to finish
@@ -180,6 +202,13 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     /// Event counters so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Bytes written by every store so far, whether it hit or missed.
+    /// A write-through cache sends exactly these bytes to the next level
+    /// under fetch-on-write and write-validate.
+    pub fn bytes_written(&self) -> u64 {
+        self.bytes_written
     }
 
     /// Resets the event counters (the cache contents are untouched), e.g.
@@ -208,92 +237,64 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
 
     /// Reads `buf.len()` bytes at `addr`, faulting lines in as needed.
     /// Accesses may span any number of lines; each line-sized piece counts
-    /// as one access.
+    /// as one access. On the data-free plane `buf` is left untouched.
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) {
-        let line = u64::from(self.line_bytes);
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let a = addr + pos as u64;
-            let room = (line - (a & (line - 1))) as usize;
-            let take = room.min(buf.len() - pos);
-            self.read_within(a, pos, pos + take, buf);
-            pos += take;
-        }
+        for_each_piece(self.line_bytes, addr, buf.len(), |a, lo, hi| {
+            let src = self.read_within(a, (hi - lo) as u32);
+            if N::CARRIES_DATA {
+                buf[lo..hi].copy_from_slice(&self.data[src..src + (hi - lo)]);
+            }
+        });
+    }
+
+    /// As [`Cache::read`] of `len` bytes whose data nobody looks at: the
+    /// entry point of trace-driven runs, which carry addresses and sizes
+    /// but no values.
+    pub fn read_len(&mut self, addr: u64, len: usize) {
+        for_each_piece(self.line_bytes, addr, len, |a, lo, hi| {
+            self.read_within(a, (hi - lo) as u32);
+        });
     }
 
     /// Writes `data` at `addr` under the configured policies. Accesses may
     /// span any number of lines; each line-sized piece counts as one
     /// access.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let line = u64::from(self.line_bytes);
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let a = addr + pos as u64;
-            let room = (line - (a & (line - 1))) as usize;
-            let take = room.min(data.len() - pos);
-            self.write_within(a, &data[pos..pos + take]);
-            pos += take;
-        }
+        self.bytes_written += data.len() as u64;
+        for_each_piece(self.line_bytes, addr, data.len(), |a, lo, hi| {
+            self.write_within(a, &data[lo..hi]);
+        });
+    }
+
+    /// As [`Cache::write`] of `len` zero bytes: the entry point of
+    /// trace-driven runs, which carry addresses and sizes but no values.
+    pub fn write_len(&mut self, addr: u64, len: usize) {
+        self.bytes_written += len as u64;
+        for_each_piece(self.line_bytes, addr, len, |a, lo, hi| {
+            self.write_within(a, &ZERO_LINE[..hi - lo]);
+        });
     }
 
     /// Writes back any dirty data and counts every resident line as a
     /// flush victim ("flush stop", Section 5).
     pub fn flush(&mut self) {
-        for idx in 0..self.meta.len() {
-            if self.faulty[idx] != 0 {
-                self.resolve_fault(idx, true);
-            }
-            let m = self.meta[idx];
-            if m.valid == 0 {
-                continue;
-            }
-            self.stats.flush.total += 1;
-            self.emit(Event::Eviction {
-                line_addr: self.line_addr_of(idx),
-                dirty_bytes: mask::count(m.dirty),
-                flush: true,
-            });
-            if m.dirty != 0 {
-                self.stats.flush.dirty += 1;
-                self.stats.flush.dirty_bytes += u64::from(mask::count(m.dirty));
-                self.write_back_line(idx);
-            }
-            self.meta[idx] = LineMeta::EMPTY;
+        for idx in 0..self.tags.len() {
+            self.evict(idx, true);
         }
-    }
-
-    /// Invalidates everything without writing back (for tests and for
-    /// modelling the error-recovery path of parity-protected write-through
-    /// caches, which may discard any line).
-    pub fn invalidate_all(&mut self) {
-        for m in &mut self.meta {
-            *m = LineMeta::EMPTY;
-        }
-        self.faulty.fill(0);
-        self.flips.clear();
     }
 
     /// Returns `true` if every byte of `addr..addr+len` is resident and
     /// valid (a read would hit).
     pub fn is_resident(&self, addr: u64, len: usize) -> bool {
-        let line = u64::from(self.line_bytes);
-        let mut pos = 0usize;
-        while pos < len {
-            let a = addr + pos as u64;
-            let room = (line - (a & (line - 1))) as usize;
-            let take = room.min(len - pos);
+        let mut resident = true;
+        for_each_piece(self.line_bytes, addr, len, |a, lo, hi| {
             let (set, tag, offset) = self.decompose(a);
-            let hit = self.find_way(set, tag).is_some_and(|way| {
-                let m = &self.meta[self.line_index(set, way)];
-                let need = mask::span(offset, take as u32);
-                m.valid & need == need
-            });
-            if !hit {
-                return false;
-            }
-            pos += take;
-        }
-        true
+            let need = mask::span(offset, (hi - lo) as u32);
+            resident &= self
+                .find_way(set, tag)
+                .is_some_and(|way| self.valid[self.line_index(set, way)] & need == need);
+        });
+        resident
     }
 
     /// Executes a cache-line *allocation instruction* (Section 4): claims
@@ -318,30 +319,30 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
         self.stats.line_allocations += 1;
         let line_addr = self.line_addr(set, tag);
         self.emit(Event::LineAllocated { line_addr });
-        let way = match self.find_way(set, tag) {
-            Some(way) => way,
+        let idx = match self.find_way(set, tag) {
+            Some(way) => self.line_index(set, way),
             None => {
-                let way = self.victim_way(set);
-                self.evict(set, way);
-                way
+                let idx = self.line_index(set, self.victim_way(set));
+                self.evict(idx, false);
+                idx
             }
         };
-        let idx = self.line_index(set, way);
         // The whole data array entry is rewritten (with fresh check
         // bits), so any outstanding flip on this line is gone.
         self.drop_fault_state(idx);
+        if N::CARRIES_DATA {
+            self.line_data(idx).fill(0);
+        }
         let full = mask::full(self.line_bytes);
-        self.line_data(idx).fill(0);
         let write_back = self.config.write_hit() == WriteHitPolicy::WriteBack;
-        let was_dirty = self.meta[idx].dirty != 0;
-        let m = &mut self.meta[idx];
-        m.tag = tag;
-        m.valid = full;
-        m.dirty = if write_back { full } else { 0 };
+        let was_dirty = self.dirty[idx] != 0;
+        self.tags[idx] = tag;
+        self.valid[idx] = full;
+        self.dirty[idx] = if write_back { full } else { 0 };
         if write_back && !was_dirty {
             self.emit(Event::LineDirtied { line_addr });
         }
-        self.touch(set, way);
+        self.touch(idx);
     }
 
     // ------------------------------------------------------------------
@@ -353,39 +354,23 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     /// differential-testing oracle use to check mask laws (valid ⊇ dirty,
     /// masks confined to the line) without touching engine internals.
     pub fn line_states(&self) -> Vec<LineState> {
-        (0..self.meta.len())
-            .filter(|&idx| self.meta[idx].valid != 0)
-            .map(|idx| {
-                let m = &self.meta[idx];
-                LineState {
-                    set: idx as u32 / self.ways,
-                    way: idx as u32 % self.ways,
-                    line_addr: self.line_addr_of(idx),
-                    valid: m.valid,
-                    dirty: m.dirty,
-                }
+        (0..self.tags.len())
+            .filter(|&idx| self.valid[idx] != 0)
+            .map(|idx| LineState {
+                set: self.set_of(idx),
+                way: idx as u32 & (self.ways - 1),
+                line_addr: self.line_addr_of(idx),
+                valid: self.valid[idx],
+                dirty: self.dirty[idx],
             })
             .collect()
     }
 
-    /// Checks the mask conservation laws on every resident line: the
-    /// dirty mask is a subset of the valid mask, both masks are confined
-    /// to the line's bytes, and a write-through cache holds no dirty
-    /// bytes at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated law.
-    pub fn audit_masks(&self) -> Result<(), String> {
-        for idx in 0..self.meta.len() {
-            self.audit_line(idx)?;
-        }
-        Ok(())
-    }
-
-    /// As [`Cache::audit_masks`], but restricted to the set(s) an access
-    /// at `addr..addr + len` touches — O(ways), cheap enough to run
-    /// after every reference.
+    /// Checks the mask conservation laws on the set(s) an access at
+    /// `addr..addr + len` touches — O(ways), cheap enough to run after
+    /// every reference: on every line there, the dirty mask is a subset
+    /// of the valid mask, both masks are confined to the line's bytes,
+    /// and a write-through cache holds no dirty bytes at all.
     ///
     /// # Errors
     ///
@@ -406,38 +391,33 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     }
 
     fn audit_line(&self, idx: usize) -> Result<(), String> {
-        let m = &self.meta[idx];
+        let (valid, dirty) = (self.valid[idx], self.dirty[idx]);
         let full = mask::full(self.line_bytes);
         let site = || {
             format!(
                 "line {:#x} (set {}, way {})",
                 self.line_addr_of(idx),
-                idx as u32 / self.ways,
-                idx as u32 % self.ways
+                self.set_of(idx),
+                idx as u32 & (self.ways - 1)
             )
         };
-        if m.valid & !full != 0 || m.dirty & !full != 0 {
+        if valid & !full != 0 || dirty & !full != 0 {
             return Err(format!(
-                "{}: mask bits past the {}B line (valid {:#x}, dirty {:#x})",
+                "{}: mask bits past the {}B line (valid {valid:#x}, dirty {dirty:#x})",
                 site(),
                 self.line_bytes,
-                m.valid,
-                m.dirty
             ));
         }
-        if m.dirty & !m.valid != 0 {
+        if dirty & !valid != 0 {
             return Err(format!(
-                "{}: dirty bytes outside the valid mask (valid {:#x}, dirty {:#x})",
+                "{}: dirty bytes outside the valid mask (valid {valid:#x}, dirty {dirty:#x})",
                 site(),
-                m.valid,
-                m.dirty
             ));
         }
-        if self.config.write_hit() == WriteHitPolicy::WriteThrough && m.dirty != 0 {
+        if self.config.write_hit() == WriteHitPolicy::WriteThrough && dirty != 0 {
             return Err(format!(
-                "{}: dirty bytes ({:#x}) in a write-through cache",
+                "{}: dirty bytes ({dirty:#x}) in a write-through cache",
                 site(),
-                m.dirty
             ));
         }
         Ok(())
@@ -447,18 +427,20 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     // Address plumbing
     // ------------------------------------------------------------------
 
+    /// Splits `addr` into (set, tag, offset in line) by shifts and masks:
+    /// sets, like lines, come in powers of two.
     #[inline]
     fn decompose(&self, addr: u64) -> (u32, u64, u32) {
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr % u64::from(self.set_count)) as u32;
-        let tag = line_addr / u64::from(self.set_count);
+        let set = (line_addr & self.set_mask) as u32;
+        let tag = line_addr >> self.set_shift;
         let offset = (addr & (u64::from(self.line_bytes) - 1)) as u32;
         (set, tag, offset)
     }
 
     #[inline]
     fn line_addr(&self, set: u32, tag: u64) -> u64 {
-        (tag * u64::from(self.set_count) + u64::from(set)) << self.line_shift
+        (tag << self.set_shift | u64::from(set)) << self.line_shift
     }
 
     #[inline]
@@ -467,32 +449,58 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     }
 
     #[inline]
+    fn set_of(&self, idx: usize) -> u32 {
+        (idx >> self.way_shift) as u32
+    }
+
+    fn line_addr_of(&self, idx: usize) -> u64 {
+        self.line_addr(self.set_of(idx), self.tags[idx])
+    }
+
+    #[inline]
     fn line_data(&mut self, idx: usize) -> &mut [u8] {
         let lb = self.line_bytes as usize;
         &mut self.data[idx * lb..(idx + 1) * lb]
     }
 
+    /// First way holding `tag` valid in `set`. Rows of up to 32 ways are
+    /// scanned branchlessly: the whole row is compared into a hit bitmap,
+    /// then the lowest set bit picked — no per-way branch. Wider rows (the
+    /// builder accepts any power-of-two associativity that fits the size)
+    /// do not fit the bitmap and take a plain first-match scan.
     #[inline]
     fn find_way(&self, set: u32, tag: u64) -> Option<u32> {
-        (0..self.ways).find(|&way| {
-            let m = &self.meta[self.line_index(set, way)];
-            m.valid != 0 && m.tag == tag
-        })
+        let base = self.line_index(set, 0);
+        let n = self.ways as usize;
+        let tags = &self.tags[base..base + n];
+        let valid = &self.valid[base..base + n];
+        if n > 32 {
+            return (0..n)
+                .position(|way| tags[way] == tag && valid[way] != 0)
+                .map(|way| way as u32);
+        }
+        let mut hits = 0u32;
+        for way in 0..n {
+            let hit = (tags[way] == tag) & (valid[way] != 0);
+            hits |= (hit as u32) << way;
+        }
+        (hits != 0).then(|| hits.trailing_zeros())
     }
 
     /// Picks the way a miss in `set` would replace: an invalid way if one
-    /// exists, else the least recently used.
+    /// exists, else the least recently used (lowest way on ties).
     #[inline]
     fn victim_way(&self, set: u32) -> u32 {
+        let base = self.line_index(set, 0);
         let mut best = 0u32;
         let mut best_used = u64::MAX;
         for way in 0..self.ways {
-            let m = &self.meta[self.line_index(set, way)];
-            if m.valid == 0 {
+            let idx = base + way as usize;
+            if self.valid[idx] == 0 {
                 return way;
             }
-            if m.last_used < best_used {
-                best_used = m.last_used;
+            if self.last_used[idx] < best_used {
+                best_used = self.last_used[idx];
                 best = way;
             }
         }
@@ -500,11 +508,18 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     }
 
     #[inline]
-    fn touch(&mut self, set: u32, way: u32) {
+    fn touch(&mut self, idx: usize) {
         self.tick += 1;
-        let tick = self.tick;
-        let idx = self.line_index(set, way);
-        self.meta[idx].last_used = tick;
+        self.last_used[idx] = self.tick;
+    }
+
+    /// Empties line `idx`'s metadata.
+    #[inline]
+    fn clear(&mut self, idx: usize) {
+        self.tags[idx] = 0;
+        self.valid[idx] = 0;
+        self.dirty[idx] = 0;
+        self.last_used[idx] = 0;
     }
 
     // ------------------------------------------------------------------
@@ -519,112 +534,114 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     /// observation that "write-validate also requires that lower levels in
     /// the memory system support writes of partial cache lines".
     fn write_back_line(&mut self, idx: usize) {
-        let m = self.meta[idx];
-        let base = self.line_addr_of(idx);
         let lb = self.line_bytes;
-        if self.config.partial_writeback() || m.valid != mask::full(lb) {
-            let runs: Vec<(u32, u32)> = mask::runs(m.dirty, lb).collect();
-            for (off, len) in runs {
-                let lo = idx * lb as usize + off as usize;
-                let chunk = self.data[lo..lo + len as usize].to_vec();
-                self.emit(Event::WriteBack {
-                    addr: base + u64::from(off),
-                    bytes: len,
-                });
-                self.next.write_back(base + u64::from(off), &chunk);
+        if self.config.partial_writeback() || self.valid[idx] != mask::full(lb) {
+            for (off, len) in mask::runs(self.dirty[idx], lb) {
+                self.send_write_back(idx, off, len);
             }
         } else {
-            let lbu = lb as usize;
-            let chunk = self.data[idx * lbu..(idx + 1) * lbu].to_vec();
-            self.emit(Event::WriteBack {
-                addr: base,
-                bytes: lb,
-            });
-            self.next.write_back(base, &chunk);
+            self.send_write_back(idx, 0, lb);
         }
     }
 
-    fn line_addr_of(&self, idx: usize) -> u64 {
-        let set = idx as u32 / self.ways;
-        let m = &self.meta[idx];
-        self.line_addr(set, m.tag)
+    /// Hands bytes `off..off + len` of line `idx` to the next level as a
+    /// write-back.
+    #[inline]
+    fn send_write_back(&mut self, idx: usize, off: u32, len: u32) {
+        let addr = self.line_addr_of(idx) + u64::from(off);
+        self.emit(Event::WriteBack { addr, bytes: len });
+        let (lo, len) = (idx * self.line_bytes as usize + off as usize, len as usize);
+        let bytes = if N::CARRIES_DATA {
+            &self.data[lo..lo + len]
+        } else {
+            &ZERO_LINE[..len]
+        };
+        self.next.write_back(addr, bytes);
     }
 
-    /// Evicts the line at (`set`, `way`), recording victim statistics and
-    /// writing back dirty bytes. Leaves the way invalid.
-    fn evict(&mut self, set: u32, way: u32) {
-        let idx = self.line_index(set, way);
-        if self.faulty[idx] != 0 {
+    /// Evicts line `idx`, recording victim statistics (flush statistics
+    /// when `flush`) and writing back dirty bytes. Leaves the way invalid.
+    fn evict(&mut self, idx: usize, flush: bool) {
+        if self.has_flips() && self.faulty[idx] != 0 {
             // Check bits are verified as the victim is read out. A lost
             // dirty line (parity) empties the way and is counted as a
             // fault loss rather than a victim.
             self.resolve_fault(idx, true);
         }
-        let m = self.meta[idx];
-        if m.valid != 0 {
-            self.stats.victims.total += 1;
+        if self.valid[idx] != 0 {
+            let dirty = self.dirty[idx];
+            let victims = if flush {
+                &mut self.stats.flush
+            } else {
+                &mut self.stats.victims
+            };
+            victims.total += 1;
+            if dirty != 0 {
+                victims.dirty += 1;
+                victims.dirty_bytes += u64::from(mask::count(dirty));
+            }
             self.emit(Event::Eviction {
                 line_addr: self.line_addr_of(idx),
-                dirty_bytes: mask::count(m.dirty),
-                flush: false,
+                dirty_bytes: mask::count(dirty),
+                flush,
             });
-            if m.dirty != 0 {
-                self.stats.victims.dirty += 1;
-                self.stats.victims.dirty_bytes += u64::from(mask::count(m.dirty));
+            if dirty != 0 {
                 self.write_back_line(idx);
             }
         }
-        self.meta[idx] = LineMeta::EMPTY;
+        self.clear(idx);
     }
 
-    /// Fetches the whole line for (`set`, `tag`) into `way`, merging with
-    /// any valid bytes already present (write-validate refill semantics:
+    /// Fetches the whole line for `tag` into line `idx`, merging with any
+    /// valid bytes already present (write-validate refill semantics:
     /// valid bytes are newer than memory and must be kept).
-    fn fetch_line(&mut self, set: u32, way: u32, tag: u64) {
+    fn fetch_line(&mut self, idx: usize, tag: u64) {
         self.stats.fetches += 1;
-        let addr = self.line_addr(set, tag);
+        let addr = self.line_addr(self.set_of(idx), tag);
         self.emit(Event::Fetch {
             cause: FetchCause::Demand,
             addr,
             bytes: self.line_bytes,
         });
-        let idx = self.line_index(set, way);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.next.fetch_line(addr, &mut scratch);
-        let keep = self.meta[idx].valid;
-        let line = self.line_data(idx);
-        for (i, b) in scratch.iter().enumerate() {
-            if keep & (1u64 << i) == 0 {
-                line[i] = *b;
+        let mut fetched = [0u8; MAX_LINE_BYTES as usize];
+        let fetched = &mut fetched[..self.line_bytes as usize];
+        self.next.fetch_line(addr, fetched);
+        if N::CARRIES_DATA {
+            let keep = self.valid[idx];
+            let line = self.line_data(idx);
+            for (i, b) in fetched.iter().enumerate() {
+                if keep & (1u64 << i) == 0 {
+                    line[i] = *b;
+                }
             }
         }
-        self.scratch = scratch;
-        let full = mask::full(self.line_bytes);
-        let m = &mut self.meta[idx];
-        m.tag = tag;
-        m.valid = full;
+        self.tags[idx] = tag;
+        self.valid[idx] = mask::full(self.line_bytes);
     }
 
     // ------------------------------------------------------------------
     // The access state machines
     // ------------------------------------------------------------------
 
-    fn read_within(&mut self, addr: u64, lo: usize, hi: usize, out: &mut [u8]) {
+    /// One line-bounded read piece of `len` bytes; returns where its
+    /// bytes start in the data array.
+    #[inline]
+    fn read_within(&mut self, addr: u64, len: u32) -> usize {
         self.stats.reads += 1;
         self.emit(Event::Access {
             kind: AccessKind::Read,
             addr,
-            bytes: (hi - lo) as u32,
+            bytes: len,
         });
         self.maybe_inject();
         let (set, tag, offset) = self.decompose(addr);
         self.scrub(set, tag);
-        let need = mask::span(offset, (hi - lo) as u32);
+        let need = mask::span(offset, len);
 
-        let way = match self.find_way(set, tag) {
+        let idx = match self.find_way(set, tag) {
             Some(way) => {
                 let idx = self.line_index(set, way);
-                if self.meta[idx].valid & need == need {
+                if self.valid[idx] & need == need {
                     self.stats.read_hits += 1;
                     self.emit(Event::ReadHit { addr });
                 } else {
@@ -636,9 +653,9 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
                         addr,
                         partial: true,
                     });
-                    self.fetch_line(set, way, tag);
+                    self.fetch_line(idx, tag);
                 }
-                way
+                idx
             }
             None => {
                 self.stats.read_misses += 1;
@@ -646,19 +663,18 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
                     addr,
                     partial: false,
                 });
-                let way = self.victim_way(set);
-                self.evict(set, way);
-                self.fetch_line(set, way, tag);
-                way
+                let idx = self.line_index(set, self.victim_way(set));
+                self.evict(idx, false);
+                self.fetch_line(idx, tag);
+                idx
             }
         };
-
-        let idx = self.line_index(set, way);
-        let src = idx * self.line_bytes as usize + offset as usize;
-        out[lo..hi].copy_from_slice(&self.data[src..src + (hi - lo)]);
-        self.touch(set, way);
+        self.touch(idx);
+        idx * self.line_bytes as usize + offset as usize
     }
 
+    /// One line-bounded write piece.
+    #[inline]
     fn write_within(&mut self, addr: u64, data: &[u8]) {
         self.stats.writes += 1;
         self.emit(Event::Access {
@@ -670,17 +686,19 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
         let (set, tag, offset) = self.decompose(addr);
         self.scrub(set, tag);
         let span = mask::span(offset, data.len() as u32);
+        let write_through = self.config.write_hit() == WriteHitPolicy::WriteThrough;
 
         if let Some(way) = self.find_way(set, tag) {
             // Write hit: the tag is resident. Writing validates the bytes
             // regardless of their previous valid state.
+            let idx = self.line_index(set, way);
             self.stats.write_hits += 1;
             self.emit(Event::WriteHit { addr });
-            self.store_into(set, way, offset, data, span);
-            if self.config.write_hit() == WriteHitPolicy::WriteThrough {
+            self.store_into(idx, offset, data, span);
+            if write_through {
                 self.send_write_through(addr, data);
             }
-            self.touch(set, way);
+            self.touch(idx);
             return;
         }
 
@@ -695,51 +713,76 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
             },
         });
         match self.config.write_miss() {
-            WriteMissPolicy::FetchOnWrite => {
-                let way = self.victim_way(set);
-                self.evict(set, way);
-                self.fetch_line(set, way, tag);
-                self.store_into(set, way, offset, data, span);
-                if self.config.write_hit() == WriteHitPolicy::WriteThrough {
+            WriteMissPolicy::FetchOnWrite | WriteMissPolicy::WriteValidate => {
+                let idx = self.line_index(set, self.victim_way(set));
+                self.evict(idx, false);
+                if self.config.write_miss() == WriteMissPolicy::FetchOnWrite {
+                    self.fetch_line(idx, tag);
+                } else {
+                    // Write-validate allocates without fetching: valid
+                    // bits cover only the written bytes.
+                    self.tags[idx] = tag;
+                }
+                self.store_into(idx, offset, data, span);
+                if write_through {
                     self.send_write_through(addr, data);
                 }
-                self.touch(set, way);
-            }
-            WriteMissPolicy::WriteValidate => {
-                // Allocate without fetching: valid bits cover only the
-                // written bytes.
-                let way = self.victim_way(set);
-                self.evict(set, way);
-                let idx = self.line_index(set, way);
-                self.meta[idx].tag = tag;
-                self.store_into(set, way, offset, data, span);
-                if self.config.write_hit() == WriteHitPolicy::WriteThrough {
-                    self.send_write_through(addr, data);
-                }
-                self.touch(set, way);
+                self.touch(idx);
             }
             WriteMissPolicy::WriteAround => {
-                // Bypass: the old line (if any) stays resident.
+                // Bypass: the old line (if any) stays resident and the
+                // LRU order is untouched.
                 self.send_write_through(addr, data);
             }
             WriteMissPolicy::WriteInvalidate => {
                 // The concurrent data write corrupted the indexed line, so
                 // invalidate it and pass the data on. Write-through caches
                 // hold no unique data, so nothing is lost.
-                let way = self.victim_way(set);
-                let idx = self.line_index(set, way);
+                let idx = self.line_index(set, self.victim_way(set));
                 debug_assert_eq!(
-                    self.meta[idx].dirty, 0,
+                    self.dirty[idx], 0,
                     "write-invalidate requires write-through"
                 );
-                if self.meta[idx].valid != 0 {
+                if self.valid[idx] != 0 {
                     self.stats.invalidations += 1;
                     let line_addr = self.line_addr_of(idx);
                     self.emit(Event::Invalidation { line_addr });
                 }
-                self.clear_line(idx);
+                self.clear(idx);
+                self.drop_fault_state(idx);
                 self.send_write_through(addr, data);
             }
+        }
+    }
+
+    /// Stores `data` into resident line `idx`, updating valid/dirty masks
+    /// and the writes-to-already-dirty counter (checked before the mask
+    /// OR).
+    #[inline]
+    fn store_into(&mut self, idx: usize, offset: u32, data: &[u8], span: u64) {
+        let write_back = self.config.write_hit() == WriteHitPolicy::WriteBack;
+        if write_back && self.dirty[idx] != 0 {
+            self.stats.writes_to_dirty += 1;
+            if P::ENABLED {
+                let line_addr = self.line_addr_of(idx);
+                self.emit(Event::WriteToDirty { line_addr });
+            }
+        } else if write_back && span != 0 {
+            // Clean line turning dirty: the sampler integrates these
+            // (with dirty evictions and data losses) into a dirty-line
+            // gauge.
+            if P::ENABLED {
+                let line_addr = self.line_addr_of(idx);
+                self.emit(Event::LineDirtied { line_addr });
+            }
+        }
+        if N::CARRIES_DATA {
+            let lo = idx * self.line_bytes as usize + offset as usize;
+            self.data[lo..lo + data.len()].copy_from_slice(data);
+        }
+        self.valid[idx] |= span;
+        if write_back {
+            self.dirty[idx] |= span;
         }
     }
 
@@ -767,9 +810,13 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
         &self.fault_log
     }
 
-    /// Injected flips that have not yet been detected and resolved.
-    pub fn outstanding_faults(&self) -> u64 {
-        self.flips.len() as u64
+    /// Whether any injected flip is outstanding. While none is, every
+    /// `faulty` mask is zero, so the per-access, per-eviction and
+    /// per-flush fault checks are skipped exactly; on the data-free plane
+    /// they compile away.
+    #[inline]
+    fn has_flips(&self) -> bool {
+        N::CARRIES_DATA && !self.flips.is_empty()
     }
 
     fn log_fault(&mut self, event: FaultEvent) {
@@ -784,28 +831,32 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     /// The injector keeps at most one outstanding flip per protected
     /// 32-bit word — the paper's single-bit fault model, and the bound
     /// under which single-error-correcting ECC corrects everything.
+    #[inline]
     fn maybe_inject(&mut self) {
-        if !self.injector.fires() {
-            return;
+        if N::CARRIES_DATA && self.injector.fires() {
+            self.inject();
         }
-        let valid_lines = self.meta.iter().filter(|m| m.valid != 0).count();
+    }
+
+    fn inject(&mut self) {
+        let valid_lines = self.valid.iter().filter(|&&v| v != 0).count();
         if valid_lines == 0 {
             return;
         }
         let nth = self.injector.pick(valid_lines as u64) as usize;
         let Some(idx) = self
-            .meta
+            .valid
             .iter()
             .enumerate()
-            .filter(|(_, m)| m.valid != 0)
+            .filter(|(_, &v)| v != 0)
             .nth(nth)
             .map(|(i, _)| i)
         else {
             return;
         };
-        let m = self.meta[idx];
-        let byte_choice = self.injector.pick(u64::from(mask::count(m.valid))) as u32;
-        let Some(byte) = nth_set_bit(m.valid, byte_choice) else {
+        let valid = self.valid[idx];
+        let byte_choice = self.injector.pick(u64::from(mask::count(valid))) as u32;
+        let Some(byte) = nth_set_bit(valid, byte_choice) else {
             return;
         };
         let protected = self.config.protection() != Protection::None;
@@ -846,7 +897,11 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
 
     /// Verifies the check bits of the line about to be accessed and
     /// resolves any outstanding fault on it.
+    #[inline]
     fn scrub(&mut self, set: u32, tag: u64) {
+        if !self.has_flips() {
+            return;
+        }
         if let Some(way) = self.find_way(set, tag) {
             let idx = self.line_index(set, way);
             if self.faulty[idx] != 0 {
@@ -862,7 +917,7 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
     /// refetch is needed).
     fn resolve_fault(&mut self, idx: usize, discarding: bool) {
         let line_addr = self.line_addr_of(idx);
-        let dirty = self.meta[idx].dirty;
+        let dirty = self.dirty[idx];
         let mut mine = Vec::new();
         let mut i = 0;
         while i < self.flips.len() {
@@ -920,11 +975,10 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
                         addr: line_addr,
                         bytes: self.line_bytes,
                     });
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    self.next.fetch_line(line_addr, &mut scratch);
-                    self.line_data(idx).copy_from_slice(&scratch);
-                    self.scratch = scratch;
-                    self.meta[idx].valid = mask::full(self.line_bytes);
+                    let lb = self.line_bytes as usize;
+                    self.next
+                        .fetch_line(line_addr, &mut self.data[idx * lb..(idx + 1) * lb]);
+                    self.valid[idx] = mask::full(self.line_bytes);
                     self.stats.faults.refetch_recoveries += mine.len() as u64;
                     for f in mine {
                         self.emit(Event::FaultResolved {
@@ -963,21 +1017,15 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
                     bit: site.map_or(0, |f| f.bit),
                     dirty_bytes: lost,
                 });
-                self.meta[idx] = LineMeta::EMPTY;
+                self.clear(idx);
             }
         }
-    }
-
-    /// Invalidates line `idx` and forgets any fault state attached to it.
-    fn clear_line(&mut self, idx: usize) {
-        self.meta[idx] = LineMeta::EMPTY;
-        self.drop_fault_state(idx);
     }
 
     /// Forgets fault state for a line whose data is being overwritten or
     /// discarded wholesale (fresh check bits are written with new data).
     fn drop_fault_state(&mut self, idx: usize) {
-        if self.faulty[idx] != 0 {
+        if self.has_flips() && self.faulty[idx] != 0 {
             self.faulty[idx] = 0;
             self.flips.retain(|f| f.idx != idx);
         }
@@ -1042,36 +1090,6 @@ impl<N: NextLevel, P: Probe> Cache<N, P> {
             }),
         }
     }
-
-    /// Stores `data` into a resident line, updating valid/dirty masks and
-    /// the writes-to-already-dirty counter.
-    #[inline]
-    fn store_into(&mut self, set: u32, way: u32, offset: u32, data: &[u8], span: u64) {
-        let write_back = self.config.write_hit() == WriteHitPolicy::WriteBack;
-        let idx = self.line_index(set, way);
-        if write_back && self.meta[idx].dirty != 0 {
-            self.stats.writes_to_dirty += 1;
-            if P::ENABLED {
-                let line_addr = self.line_addr_of(idx);
-                self.emit(Event::WriteToDirty { line_addr });
-            }
-        } else if write_back && span != 0 {
-            // Clean line turning dirty: the sampler integrates these
-            // (with dirty evictions and data losses) into a dirty-line
-            // gauge.
-            if P::ENABLED {
-                let line_addr = self.line_addr(set, self.meta[idx].tag);
-                self.emit(Event::LineDirtied { line_addr });
-            }
-        }
-        let lo = idx * self.line_bytes as usize + offset as usize;
-        self.data[lo..lo + data.len()].copy_from_slice(data);
-        let m = &mut self.meta[idx];
-        m.valid |= span;
-        if write_back {
-            m.dirty |= span;
-        }
-    }
 }
 
 /// A read-only snapshot of one resident line's sub-block state, as
@@ -1104,6 +1122,27 @@ fn nth_set_bit(mask: u64, n: u32) -> Option<u32> {
     })
 }
 
+/// Splits the access `addr..addr + len` at `line_bytes` boundaries,
+/// calling `piece(piece_addr, lo, hi)` for each piece, where `lo..hi` is
+/// the piece's byte range within the access. A zero-length access has no
+/// pieces.
+#[inline]
+fn for_each_piece(
+    line_bytes: u32,
+    addr: u64,
+    len: usize,
+    mut piece: impl FnMut(u64, usize, usize),
+) {
+    let line = u64::from(line_bytes);
+    let mut pos = 0usize;
+    while pos < len {
+        let a = addr + pos as u64;
+        let take = ((line - (a & (line - 1))) as usize).min(len - pos);
+        piece(a, pos, pos + take);
+        pos += take;
+    }
+}
+
 /// Rejects accesses whose last byte would not fit in the address space.
 fn check_span(addr: u64, len: usize) -> Result<(), CwpError> {
     if u128::from(addr) + len as u128 > u128::from(u64::MAX) + 1 {
@@ -1113,6 +1152,8 @@ fn check_span(addr: u64, len: usize) -> Result<(), CwpError> {
 }
 
 impl<N: NextLevel, P: Probe> NextLevel for Cache<N, P> {
+    const CARRIES_DATA: bool = N::CARRIES_DATA;
+
     fn fetch_line(&mut self, addr: u64, buf: &mut [u8]) {
         self.read(addr, buf);
     }
@@ -1548,14 +1589,19 @@ mod tests {
         tally
     }
 
-    /// Drives a mixed workload and checks that every probe event class
-    /// matches the corresponding `CacheStats`/`Traffic` counter exactly
-    /// — the contract the windowed sampler's reconciliation rests on.
-    fn assert_events_mirror_counters(hit: WriteHitPolicy, miss: WriteMissPolicy) {
+    /// Drives a mixed workload on the plane `N` picks and checks that
+    /// every probe event class matches the corresponding
+    /// `CacheStats`/`Traffic` counter exactly — the contract the windowed
+    /// sampler's reconciliation rests on. Returns the event stream.
+    fn assert_events_mirror_counters<N: NextLevel + Default>(
+        hit: WriteHitPolicy,
+        miss: WriteMissPolicy,
+    ) -> Vec<Event> {
+        use cwp_mem::SplitMix64;
         use cwp_obs::RecordingProbe;
         let mut c = Cache::with_probe(
             cfg(hit, miss),
-            TrafficRecorder::new(MainMemory::new()),
+            TrafficRecorder::new(N::default()),
             RecordingProbe::default(),
         );
         let mut buf = [0u8; 8];
@@ -1565,6 +1611,18 @@ mod tests {
                 c.read(addr, &mut buf);
             } else {
                 c.write(addr, &[i as u8; 8]);
+            }
+        }
+        // A seeded stream of unaligned 1..=8-byte accesses, some
+        // straddling a line boundary.
+        let mut rng = SplitMix64::seed_from_u64(0x0b5e);
+        for _ in 0..600 {
+            let addr = rng.below(4096);
+            let len = 1 + rng.below(8) as usize;
+            if rng.gen_bool() {
+                c.read(addr, &mut buf[..len]);
+            } else {
+                c.write(addr, &buf[..len]);
             }
         }
         c.allocate_line(0x40);
@@ -1605,6 +1663,7 @@ mod tests {
             traffic.write_through.transactions
         );
         assert_eq!(get("write_through_bytes"), traffic.write_through.bytes);
+        probe.events
     }
 
     #[test]
@@ -1613,13 +1672,18 @@ mod tests {
             (WriteHitPolicy::WriteBack, WriteMissPolicy::FetchOnWrite),
             (WriteHitPolicy::WriteBack, WriteMissPolicy::WriteValidate),
             (WriteHitPolicy::WriteThrough, WriteMissPolicy::FetchOnWrite),
+            (WriteHitPolicy::WriteThrough, WriteMissPolicy::WriteValidate),
             (WriteHitPolicy::WriteThrough, WriteMissPolicy::WriteAround),
             (
                 WriteHitPolicy::WriteThrough,
                 WriteMissPolicy::WriteInvalidate,
             ),
         ] {
-            assert_events_mirror_counters(hit, miss);
+            // Both planes run one state machine: a traced fault-free run
+            // emits the same events whichever plane it takes.
+            let data = assert_events_mirror_counters::<MainMemory>(hit, miss);
+            let data_free = assert_events_mirror_counters::<cwp_mem::NullMemory>(hit, miss);
+            assert_eq!(data, data_free, "{hit:?}/{miss:?}");
         }
     }
 

@@ -12,11 +12,16 @@
 //!   (bypass, leave the old line), and [`WriteMissPolicy::WriteInvalidate`]
 //!   (invalidate the indexed line, bypass).
 //!
-//! The cache is *data-carrying*: lines hold real bytes with per-byte valid
-//! and dirty masks, so correctness is testable (any policy must be
-//! functionally transparent over [`cwp_mem::MainMemory`]) and the paper's
-//! byte-granularity dirty-victim statistics (Figures 20-25) fall out
-//! directly.
+//! One engine, [`Cache`], implements the matrix over per-byte valid and
+//! dirty masks, so the paper's byte-granularity dirty-victim statistics
+//! (Figures 20-25) fall out directly. The type of its next level picks
+//! one of two planes. Over a level that keeps bytes (such as
+//! [`cwp_mem::MainMemory`]) lines hold real data, so correctness is
+//! testable (any policy must be functionally transparent) and faults can
+//! be injected. Over [`cwp_mem::NullMemory`] the engine carries no data
+//! at all and every data copy compiles away: the measurement path, with
+//! identical statistics and traffic. [`SoaCache`] is that data-free
+//! engine behind a length-only interface.
 //!
 //! # Examples
 //!
@@ -58,7 +63,7 @@ pub mod policy;
 pub mod soa;
 pub mod stats;
 
-pub use cache::{Cache, LineState, MemoryCache, ProbedMemoryCache};
+pub use cache::{Cache, LineState, MemoryCache};
 pub use config::{CacheConfig, CacheConfigBuilder, ConfigError};
 pub use cwp_mem::CwpError;
 pub use cwp_obs::{NullProbe, Probe};

@@ -7,18 +7,18 @@
 //!
 //! Each case draws a cache configuration and a reference stream from a
 //! [`SplitMix64`] chain and lock-steps every optimized engine path —
-//! the data-carrying cache, the recorded-trace replay, both plans of
-//! the `sweep` driver (sharded over a recording, streamed from a live
-//! run), and the audited replay — against the naive `cwp-verify`
-//! [`ModelCache`] oracle. The sweeps also carry the configuration's
-//! write-hit twin when it has one, so the plan's derived write-through
-//! outcomes face the oracle too. Configurations cycle through all
-//! six valid write-policy combinations; streams cycle through windows
-//! of the six paper workloads plus pure-random, strided, and hot-set
-//! shapes. On divergence the case is shrunk (drop reference chunks,
-//! simplify the configuration toward the default) to a minimal JSONL
-//! repro written under `--out` (default `tests/repros/`), and the run
-//! exits nonzero.
+//! the engine on both of its planes (data-carrying and data-free), the
+//! recorded-trace replay, both plans of the `sweep` driver (sharded over
+//! a recording, streamed from a live run), and the audited replay —
+//! against the naive `cwp-verify` [`ModelCache`] oracle. The sweeps also
+//! carry the configuration's write-hit twin when it has one, so the
+//! plan's derived write-through outcomes face the oracle too.
+//! Configurations cycle through all six valid write-policy combinations;
+//! streams cycle through windows of the six paper workloads plus
+//! pure-random, strided, and hot-set shapes. On divergence the case is
+//! shrunk (drop reference chunks, simplify the configuration toward the
+//! default) to a minimal JSONL repro written under `--out` (default
+//! `tests/repros/`), and the run exits nonzero.
 //!
 //! `--replay PATH` re-checks a saved case file or every `*.jsonl` in a
 //! directory (the committed repro corpus). `--shrink-demo` proves the
@@ -357,8 +357,9 @@ fn model_divergence(case: &FuzzCase, config: CacheConfig, outcome: &SimOutcome) 
 /// Lock-steps every engine path against the model. Returns a
 /// description of the first divergence, `None` when the case is clean.
 fn full_check(case: &FuzzCase) -> Option<String> {
-    // 1. Data-carrying engine vs model, byte-for-byte (reads, masks,
-    //    stats, traffic, flush, post-flush memory image).
+    // 1. The engine vs model after every reference, on both planes:
+    //    masks, stats and traffic, and on the data plane the bytes
+    //    (reads, flush, post-flush memory image).
     if let Some(d) = check_case(case) {
         return Some(d.to_string());
     }

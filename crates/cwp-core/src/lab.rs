@@ -4,10 +4,9 @@
 //! [`TraceStore`]'s recording when the workload fits its budget, a live
 //! generator run otherwise. A sweep's missing configurations go through
 //! one [`sweep`] call, which picks the sharded or streamed plan from the
-//! source. A single outcome runs on the data-free [`DataFreeSink`]
-//! engine when it is untraced, unaudited and fault-free; fault-injecting,
-//! traced and audited runs take the data-carrying engine
-//! ([`simulate_probed`], [`simulate_audited`], or the trace exporters).
+//! source. A single outcome runs through [`simulate_probed`],
+//! [`simulate_audited`] or the trace exporters, which all take the plane
+//! the configuration needs: data only when it injects faults.
 //!
 //! Outcomes and write streams live in a [`RunMemo`]. A lab made with
 //! [`Lab::new`] keeps a private one; the supervised runner gives every
@@ -24,8 +23,7 @@ use crate::memo::RunMemo;
 use crate::obs::{trace_replay, trace_simulation, TraceOptions};
 use crate::shard::ShardReport;
 use crate::sim::{
-    simulate_audited, simulate_many_audited, simulate_probed, sweep, DataFreeSink, SimOutcome,
-    Source,
+    simulate_audited, simulate_many_audited, simulate_probed, sweep, SimOutcome, Source,
 };
 use crate::store::TraceStore;
 
@@ -340,11 +338,9 @@ impl Lab {
     /// replays `recording` when there is one, and drives the generator
     /// live otherwise (store disabled or over budget).
     ///
-    /// Untraced runs pick their engine: the audit's data-carrying
-    /// engine when auditing, the data-carrying engine for a
-    /// fault-injecting `config` (its statistics depend on the bytes),
-    /// and the data-free [`DataFreeSink`] for everything else — the same
-    /// outcome at a fraction of the cost.
+    /// Untraced runs are audited when auditing is on. Traced, audited
+    /// and plain runs all take the plane the configuration needs (see
+    /// `sim::carries_data`), so all three observe one engine.
     fn run_one(
         &mut self,
         idx: usize,
@@ -359,10 +355,6 @@ impl Lab {
                 simulate_audited(source, config).unwrap_or_else(|e| {
                     panic!("invariant audit failed for {}/{config}: {e}", w.name())
                 })
-            } else if config.fault_rate_ppm() == 0 {
-                let mut sink = DataFreeSink::new(*config);
-                let summary = source.drive(&mut sink);
-                sink.settle(summary)
             } else {
                 simulate_probed(source, config, NullProbe).0
             }

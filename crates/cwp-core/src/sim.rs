@@ -17,15 +17,24 @@
 //! configuration rides on its write-back twin's engine, and its outcome
 //! is derived when that engine settles. Both poll an optional
 //! [`CancelToken`] and produce outcomes identical to per-configuration
-//! [`simulate`] calls at every thread count. [`simulate_many_sharded`] stays public because it is the
-//! recorded plan itself: the `perfbench` harness and the serve
-//! equivalence checks call it on a bare recording to time the plan and
-//! to compute the result a server must reproduce.
+//! [`simulate`] calls at every thread count. [`simulate_many_sharded`]
+//! stays public because it is the recorded plan itself: the `perfbench`
+//! harness and the serve equivalence checks call it on a bare recording
+//! to time the plan and to compute the result a server must reproduce.
+//!
+//! Every driver runs the one engine, [`cwp_cache::Cache`], through one
+//! sink, [`CacheSink`], and one plane rule: a run carries data if and
+//! only if its configuration injects faults, whose statistics depend on
+//! the bytes. Everything else, traced and audited runs included, takes
+//! the data-free plane, so the published numbers, the traces and the
+//! audit all observe the same code.
 
 use cwp_cache::{
-    Cache, CacheConfig, CacheStats, NullProbe, Probe, SoaCache, WriteHitPolicy, WriteMissPolicy,
+    Cache, CacheConfig, CacheStats, NullProbe, Probe, WriteHitPolicy, WriteMissPolicy,
 };
-use cwp_mem::{CwpError, MainMemory, Traffic, TrafficClass, TrafficRecorder};
+use cwp_mem::{
+    CwpError, MainMemory, NextLevel, NullMemory, Traffic, TrafficClass, TrafficRecorder,
+};
 use cwp_trace::{AccessKind, MemRef, RecordedTrace, Scale, TraceSink, TraceSummary, Workload};
 use cwp_verify::InvariantAuditor;
 
@@ -98,131 +107,81 @@ impl<'a> Source<'a> {
     }
 }
 
-/// A [`TraceSink`] adapter that feeds references into the golden
-/// data-carrying cache, backed by [`MainMemory`].
+/// The one engine as a [`TraceSink`]: a [`Cache`] on plane `N` behind
+/// a [`TrafficRecorder`], observed by `P`.
 ///
-/// Store data is fabricated (the byte pattern is irrelevant to every
-/// statistic; functional correctness is covered by the transparency
-/// property tests in `cwp-cache`).
+/// `N` is the plane: [`NullMemory`] (the default) for the data-free
+/// plane, [`MainMemory`] for the data plane. The drivers pick it by one
+/// rule: data if and only if the configuration injects faults.
+/// References carry no values, so loads discard their bytes and stores
+/// write zeros; no statistic depends on either.
 #[derive(Debug)]
-pub struct CacheSink<P = NullProbe> {
-    cache: Cache<TrafficRecorder<MainMemory>, P>,
-    scratch: [u8; 8],
+pub struct CacheSink<N = NullMemory, P = NullProbe> {
+    cache: Cache<TrafficRecorder<N>, P>,
 }
 
 impl CacheSink {
-    /// Wraps a fresh cache built from `config`.
-    pub fn new(config: CacheConfig) -> Self {
-        CacheSink::with_probe(config, NullProbe)
-    }
-}
-
-impl<P: Probe> CacheSink<P> {
-    /// Wraps a fresh cache built from `config` with `probe` observing
-    /// every cache event.
-    pub fn with_probe(config: CacheConfig, probe: P) -> Self {
-        CacheSink {
-            cache: Cache::with_memory_probed(config, probe),
-            scratch: [0u8; 8],
-        }
-    }
-
-    /// The cache being driven.
-    pub fn cache(&self) -> &Cache<TrafficRecorder<MainMemory>, P> {
-        &self.cache
-    }
-
-    /// Mutable access to the cache being driven.
-    pub fn cache_mut(&mut self) -> &mut Cache<TrafficRecorder<MainMemory>, P> {
-        &mut self.cache
-    }
-
-    /// Consumes the sink, returning the cache.
-    pub fn into_cache(self) -> Cache<TrafficRecorder<MainMemory>, P> {
-        self.cache
-    }
-}
-
-impl<P: Probe> TraceSink for CacheSink<P> {
-    #[inline]
-    fn record(&mut self, r: MemRef) {
-        let len = r.size as usize;
-        match r.kind {
-            AccessKind::Read => {
-                let mut buf = self.scratch;
-                self.cache.read(r.addr, &mut buf[..len]);
-            }
-            AccessKind::Write => {
-                let buf = self.scratch;
-                self.cache.write(r.addr, &buf[..len]);
-            }
-        }
-    }
-}
-
-/// A [`TraceSink`] over the struct-of-arrays data-free engine
-/// ([`SoaCache`]): flat tag/valid/dirty/LRU word arrays, no data image,
-/// traffic tallied in place. Every fault-free member of a [`sweep`] bank
-/// runs on it, and so does every untraced, unaudited, fault-free
-/// [`Lab`](crate::Lab) outcome: the data-carrying [`CacheSink`] runs
-/// only fault-injecting, traced and audited runs. [`CacheStats`] and
-/// [`Traffic`] are functions of the address stream and the
-/// configuration alone, so it settles to
-/// outcomes bit-identical to [`CacheSink`]'s (the policy/geometry matrix
-/// test below pins it against the golden engine), at a fraction of the
-/// per-reference cost and ~32 bytes of state per line.
-///
-/// In a [`sweep`], one write-back fetch-on-write or write-validate sink
-/// also answers its write-through twin: the write-hit policy never
-/// changes residency, valid bytes or LRU order under those miss
-/// policies, so the twin's outcome is derived from this one's when it
-/// settles (see [`simulate_many_sharded`]).
-#[derive(Debug, Clone)]
-pub struct DataFreeSink {
-    cache: SoaCache,
-}
-
-impl DataFreeSink {
-    /// Wraps a fresh SoA cache built from `config`.
+    /// A fresh unobserved sink on the data-free plane.
     ///
     /// # Panics
     ///
-    /// Panics if `config` enables fault injection: corrupted data
-    /// changes recovery accounting, so faults need the data-carrying
-    /// [`CacheSink`].
+    /// Panics if `config` injects faults, which need the data plane.
     pub fn new(config: CacheConfig) -> Self {
-        DataFreeSink {
-            cache: SoaCache::new(config),
-        }
+        Self::with_probe(config, NullProbe)
     }
+}
 
-    /// The SoA cache being driven.
-    pub fn cache(&self) -> &SoaCache {
-        &self.cache
-    }
-
-    /// Final-flush epilogue: flush (flush stop), split traffic into
-    /// execution-only vs total, as the data-carrying engine does.
-    pub fn settle(mut self, summary: TraceSummary) -> SimOutcome {
-        let traffic_execution = self.cache.traffic();
-        self.cache.flush();
-        SimOutcome {
-            summary,
-            stats: *self.cache.stats(),
-            traffic_execution,
-            traffic_total: self.cache.traffic(),
+impl<N: NextLevel + Default, P: Probe> CacheSink<N, P> {
+    /// A fresh sink on plane `N` with `probe` observing every cache
+    /// event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N` carries no data and `config` injects faults.
+    pub fn with_probe(config: CacheConfig, probe: P) -> Self {
+        CacheSink {
+            cache: Cache::with_probe(config, TrafficRecorder::new(N::default()), probe),
         }
     }
 }
 
-impl TraceSink for DataFreeSink {
+impl<N: NextLevel, P: Probe> CacheSink<N, P> {
+    /// The cache being driven.
+    pub fn cache(&self) -> &Cache<TrafficRecorder<N>, P> {
+        &self.cache
+    }
+
+    /// Final-flush epilogue: flush the cache (flush stop), split traffic
+    /// into execution-only vs total, and hand the probe back.
+    pub fn settle(self, summary: TraceSummary) -> (SimOutcome, P) {
+        let mut cache = self.cache;
+        let traffic_execution = cache.traffic();
+        cache.flush();
+        let outcome = SimOutcome {
+            summary,
+            stats: *cache.stats(),
+            traffic_execution,
+            traffic_total: cache.traffic(),
+        };
+        (outcome, cache.into_parts().1)
+    }
+}
+
+impl<N: NextLevel, P: Probe> TraceSink for CacheSink<N, P> {
     #[inline]
     fn record(&mut self, r: MemRef) {
         match r.kind {
-            AccessKind::Read => self.cache.read(r.addr, r.size as usize),
-            AccessKind::Write => self.cache.write(r.addr, r.size as usize),
+            AccessKind::Read => self.cache.read_len(r.addr, r.size as usize),
+            AccessKind::Write => self.cache.write_len(r.addr, r.size as usize),
         }
     }
+}
+
+/// The plane rule: a run carries data if and only if its configuration
+/// injects faults. Fault recovery reads and corrupts the bytes; no other
+/// statistic or traffic count depends on them.
+pub(crate) fn carries_data(config: &CacheConfig) -> bool {
+    config.fault_rate_ppm() > 0
 }
 
 /// The write-through twin's outcome, derived from the outcome of a
@@ -270,9 +229,16 @@ struct Unit {
 }
 
 impl Unit {
-    /// Answers every member from the engine's settled `outcome`;
-    /// `bytes_written` is what the engine's stores wrote.
-    fn answer(&self, outcome: SimOutcome, bytes_written: u64) -> Vec<(usize, SimOutcome)> {
+    /// Settles this unit's engine and answers every member: the direct
+    /// ones with its outcome, the write-through ones with the outcome
+    /// derived from it and the bytes its stores wrote.
+    fn settle<N: NextLevel, P: Probe>(
+        &self,
+        sink: CacheSink<N, P>,
+        summary: TraceSummary,
+    ) -> Vec<(usize, SimOutcome)> {
+        let bytes_written = sink.cache().bytes_written();
+        let (outcome, _) = sink.settle(summary);
         let mut answers = Vec::with_capacity(self.direct.len() + self.write_through.len());
         if !self.write_through.is_empty() {
             let twin = write_through_twin(&outcome, bytes_written);
@@ -280,12 +246,6 @@ impl Unit {
         }
         answers.extend(self.direct.iter().map(|&i| (i, outcome.clone())));
         answers
-    }
-
-    /// Settles this unit's data-free engine and answers every member.
-    fn settle_free(&self, sink: DataFreeSink, summary: TraceSummary) -> Vec<(usize, SimOutcome)> {
-        let bytes_written = sink.cache().bytes_written();
-        self.answer(sink.settle(summary), bytes_written)
     }
 }
 
@@ -303,7 +263,7 @@ impl Unit {
 fn plan_units(configs: &[CacheConfig]) -> Vec<Unit> {
     let mut units: Vec<Unit> = Vec::new();
     for (i, &config) in configs.iter().enumerate() {
-        let fault_free = config.fault_rate_ppm() == 0;
+        let fault_free = !carries_data(&config);
         let derived = fault_free
             && config.write_hit() == WriteHitPolicy::WriteThrough
             && matches!(
@@ -381,38 +341,32 @@ pub fn replay(trace: &RecordedTrace, config: &CacheConfig) -> SimOutcome {
 }
 
 /// Drives `source` through a cache built from `config` with `probe`
-/// attached for the whole run (execution and final flush). Returns the
-/// probe alongside the outcome so callers can inspect what it
-/// collected.
+/// attached for the whole run (execution and final flush), on the data
+/// plane only if `config` injects faults. Returns the probe alongside the
+/// outcome so callers can inspect what it collected.
 pub fn simulate_probed<P: Probe>(
     source: Source<'_>,
     config: &CacheConfig,
     probe: P,
 ) -> (SimOutcome, P) {
-    let mut sink = CacheSink::with_probe(*config, probe);
-    let summary = source.drive(&mut sink);
-    settle(sink, summary)
-}
-
-/// Final-flush epilogue of the data-carrying engine: flush the cache
-/// (flush stop), split traffic into execution-only vs total, and hand
-/// the probe back.
-fn settle<P: Probe>(sink: CacheSink<P>, summary: TraceSummary) -> (SimOutcome, P) {
-    let mut cache = sink.into_cache();
-    let traffic_execution = cache.traffic();
-    cache.flush();
-    let stats = *cache.stats();
-    let traffic_total = cache.traffic();
-    let (_, probe) = cache.into_parts();
-    (
-        SimOutcome {
-            summary,
-            stats,
-            traffic_execution,
-            traffic_total,
-        },
-        probe,
-    )
+    fn run<N: NextLevel + Default, P: Probe>(
+        source: Source<'_>,
+        mut sink: CacheSink<N, P>,
+    ) -> (SimOutcome, P) {
+        let summary = source.drive(&mut sink);
+        sink.settle(summary)
+    }
+    if carries_data(config) {
+        run(
+            source,
+            CacheSink::<MainMemory, P>::with_probe(*config, probe),
+        )
+    } else {
+        run(
+            source,
+            CacheSink::<NullMemory, P>::with_probe(*config, probe),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -492,30 +446,28 @@ fn reassemble(
         .collect()
 }
 
-/// One engine of a streamed sweep's bank: the data-free SoA engine
-/// where the statistics allow it, the data-carrying engine for
-/// fault-injecting configurations, whose statistics depend on the
-/// bytes. A recorded shard's bank is one engine throughout, so it holds
-/// the engines directly (see [`replay_polled`]).
+/// One engine of a streamed sweep's bank, on the plane [`carries_data`]
+/// picks. A recorded shard's bank is one plane throughout, so it holds
+/// the sinks directly (see [`replay_bank`]).
 enum BankSink {
-    Free(Box<DataFreeSink>),
-    Full(Box<CacheSink>),
+    Free(Box<CacheSink>),
+    Full(Box<CacheSink<MainMemory>>),
     /// Test-only instrumented sink: counts the chunks it was fed and
     /// optionally stalls on each one, modelling a slow consumer.
     #[cfg(test)]
     Probe {
         fed: std::sync::Arc<std::sync::atomic::AtomicU64>,
         stall: std::time::Duration,
-        inner: Box<DataFreeSink>,
+        inner: Box<CacheSink>,
     },
 }
 
 impl BankSink {
     fn new(config: CacheConfig) -> Self {
-        if config.fault_rate_ppm() == 0 {
-            BankSink::Free(Box::new(DataFreeSink::new(config)))
+        if carries_data(&config) {
+            BankSink::Full(Box::new(CacheSink::with_probe(config, NullProbe)))
         } else {
-            BankSink::Full(Box::new(CacheSink::new(config)))
+            BankSink::Free(Box::new(CacheSink::new(config)))
         }
     }
 
@@ -537,11 +489,10 @@ impl BankSink {
     /// Settles the engine and answers every member of its `unit`.
     fn settle(self, unit: &Unit, summary: TraceSummary) -> Vec<(usize, SimOutcome)> {
         match self {
-            BankSink::Free(sink) => unit.settle_free(*sink, summary),
-            // A fault-injecting unit answers only its own configuration.
-            BankSink::Full(sink) => unit.answer(settle(*sink, summary).0, 0),
+            BankSink::Free(sink) => unit.settle(*sink, summary),
+            BankSink::Full(sink) => unit.settle(*sink, summary),
             #[cfg(test)]
-            BankSink::Probe { inner, .. } => unit.settle_free(*inner, summary),
+            BankSink::Probe { inner, .. } => unit.settle(*inner, summary),
         }
     }
 }
@@ -549,15 +500,15 @@ impl BankSink {
 /// The recorded plan of [`sweep`], executed as stealable shards on up
 /// to `threads` workers via [`run_shards`]. The bank is first grouped
 /// into engine units by the plan builder the streamed plan uses too:
-/// fault-free configurations run on data-free engines, one per distinct
-/// engine configuration, and a write-through fetch-on-write or
+/// fault-free configurations run on the data-free plane, one engine per
+/// distinct engine configuration, and a write-through fetch-on-write or
 /// write-validate configuration shares its write-back twin's engine,
 /// whose settled outcome its own is derived from (exact, because under
 /// those miss policies the write-hit policy never changes residency,
 /// valid bytes or LRU order). Contiguous groups of the fault-free units
 /// make shards (each shard decodes the trace once for its group), and
 /// each fault-injecting configuration becomes a one-member shard on the
-/// data-carrying engine. Every shard replays the trace once through its
+/// data plane. Every shard replays the trace once through its
 /// whole bank, polling `cancel` every 4096 references. Results are
 /// reassembled by configuration index, so the outcome vector is
 /// identical at every thread count and steal order; `threads <= 1`
@@ -574,8 +525,8 @@ pub fn simulate_many_sharded(
     let threads = threads.max(1);
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let units = plan_units(configs);
-    let (free, faulty): (Vec<&Unit>, Vec<&Unit>) =
-        units.iter().partition(|u| u.config.fault_rate_ppm() == 0);
+    let (faulty, free): (Vec<&Unit>, Vec<&Unit>) =
+        units.iter().partition(|u| carries_data(&u.config));
     // Shard plan: contiguous groups of the fault-free units (several per
     // worker, so stealing can balance uneven groups), then one shard
     // per fault-injecting configuration.
@@ -587,27 +538,12 @@ pub fn simulate_many_sharded(
     shards.extend(faulty.into_iter().map(|u| vec![u]));
 
     let summary = trace.summary();
-    let run_shard = |s: usize| -> Option<Vec<(usize, SimOutcome)>> {
-        match shards[s][..] {
-            [unit] if unit.config.fault_rate_ppm() != 0 => {
-                let mut bank = [CacheSink::new(unit.config)];
-                replay_polled(trace, &mut bank, cancel)?;
-                let [sink] = bank;
-                Some(unit.answer(settle(sink, summary).0, 0))
-            }
-            ref members => {
-                let mut bank: Vec<DataFreeSink> = members
-                    .iter()
-                    .map(|u| DataFreeSink::new(u.config))
-                    .collect();
-                replay_polled(trace, &mut bank, cancel)?;
-                let answers = members.iter().zip(bank);
-                Some(
-                    answers
-                        .flat_map(|(u, sink)| u.settle_free(sink, summary))
-                        .collect(),
-                )
-            }
+    let run_shard = |s: usize| {
+        let members = &shards[s][..];
+        if carries_data(&members[0].config) {
+            replay_bank::<MainMemory>(trace, members, summary, cancel)
+        } else {
+            replay_bank::<NullMemory>(trace, members, summary, cancel)
         }
     };
 
@@ -621,15 +557,20 @@ pub fn simulate_many_sharded(
     (Some(reassemble(configs.len(), answers)), report)
 }
 
-/// Replays `trace` once through every sink of a one-engine `bank`,
-/// polling `cancel` every [`CANCEL_POLL_REFS`] references; `None` once
-/// it trips. The bank is homogeneous so the per-reference feed
-/// dispatches statically.
-fn replay_polled<S: TraceSink>(
+/// Replays `trace` once through one engine per member of a one-plane
+/// shard, polling `cancel` every [`CANCEL_POLL_REFS`] references, then
+/// settles every member; `None` once `cancel` trips. The bank is
+/// homogeneous so the per-reference feed dispatches statically.
+fn replay_bank<N: NextLevel + Default>(
     trace: &RecordedTrace,
-    bank: &mut [S],
+    members: &[&Unit],
+    summary: TraceSummary,
     cancel: Option<&CancelToken>,
-) -> Option<()> {
+) -> Option<Vec<(usize, SimOutcome)>> {
+    let mut bank: Vec<CacheSink<N>> = members
+        .iter()
+        .map(|u| CacheSink::with_probe(u.config, NullProbe))
+        .collect();
     for (n, r) in trace.iter().enumerate() {
         if n % CANCEL_POLL_REFS == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
@@ -638,7 +579,8 @@ fn replay_polled<S: TraceSink>(
             sink.record(r);
         }
     }
-    Some(())
+    let answers = members.iter().zip(bank);
+    Some(answers.flat_map(|(u, s)| u.settle(s, summary)).collect())
 }
 
 /// How many references the streamed plan buffers before fanning a
@@ -750,12 +692,12 @@ fn run_streamed(
 /// touched set(s) after each one. Violations are remembered (first one
 /// wins) rather than panicking, so the trace drive completes and the
 /// caller can surface a typed error.
-struct AuditingSink {
-    inner: CacheSink<InvariantAuditor>,
+struct AuditingSink<N> {
+    inner: CacheSink<N, InvariantAuditor>,
     first_violation: Option<String>,
 }
 
-impl TraceSink for AuditingSink {
+impl<N: NextLevel> TraceSink for AuditingSink<N> {
     fn record(&mut self, r: MemRef) {
         self.inner.record(r);
         if self.first_violation.is_none() {
@@ -771,23 +713,35 @@ impl TraceSink for AuditingSink {
 /// class from the event stream and checks conservation laws, and the
 /// engine's sub-block mask laws are re-verified after every reference.
 ///
-/// The outcome is identical to [`simulate_probed`]'s — auditing
-/// observes, it never steers — so `figures --audit` output is
-/// byte-identical to an unaudited run.
+/// The run takes its plane by the same rule as every other driver
+/// (data only for fault injection), so the audit observes the code that
+/// makes the published numbers. The outcome is identical to
+/// [`simulate_probed`]'s — auditing observes, it never steers — so
+/// `figures --audit` output is byte-identical to an unaudited run.
 ///
 /// # Errors
 ///
 /// [`CwpError::InvariantViolation`] describing the first broken law.
 pub fn simulate_audited(source: Source<'_>, config: &CacheConfig) -> Result<SimOutcome, CwpError> {
-    let mut audit = AuditingSink {
-        inner: CacheSink::with_probe(*config, InvariantAuditor::new(config)),
-        first_violation: None,
-    };
-    let summary = source.drive(&mut audit);
-    if let Some(detail) = audit.first_violation {
-        return Err(CwpError::InvariantViolation { detail });
+    fn run<N: NextLevel + Default>(
+        source: Source<'_>,
+        config: &CacheConfig,
+    ) -> Result<(SimOutcome, InvariantAuditor), CwpError> {
+        let mut audit = AuditingSink {
+            inner: CacheSink::<N, _>::with_probe(*config, InvariantAuditor::new(config)),
+            first_violation: None,
+        };
+        let summary = source.drive(&mut audit);
+        match audit.first_violation {
+            Some(detail) => Err(CwpError::InvariantViolation { detail }),
+            None => Ok(audit.inner.settle(summary)),
+        }
     }
-    let (outcome, auditor) = settle(audit.inner, summary);
+    let (outcome, auditor) = if carries_data(config) {
+        run::<MainMemory>(source, config)?
+    } else {
+        run::<NullMemory>(source, config)?
+    };
     auditor.check()?;
     auditor.reconcile(&outcome.stats, &outcome.traffic_total)?;
     Ok(outcome)
@@ -830,8 +784,8 @@ mod tests {
 
     const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-    /// A fault-injecting configuration: runs on the data-carrying
-    /// engine inside every bank.
+    /// A fault-injecting configuration: runs on the data plane inside
+    /// every bank.
     fn faulty(seed: u64) -> CacheConfig {
         CacheConfig::builder()
             .size_bytes(1024)
@@ -931,13 +885,23 @@ mod tests {
         }
     }
 
+    /// Drives `trace` through a bare sink on plane `N`: its resident
+    /// lines at the end of the run and its settled outcome.
+    fn drive_plane<N: NextLevel + Default>(
+        trace: &RecordedTrace,
+        config: &CacheConfig,
+    ) -> (Vec<cwp_cache::LineState>, SimOutcome) {
+        let mut sink = CacheSink::<N, NullProbe>::with_probe(*config, NullProbe);
+        let summary = trace.replay(&mut sink);
+        (sink.cache().line_states(), sink.settle(summary).0)
+    }
+
     #[test]
-    fn soa_bank_matches_the_golden_engine_across_every_policy() {
-        // The data-free fast path must be indistinguishable from the
-        // data-carrying engine wherever a sweep may use it: every
-        // write-hit x write-miss combination, plus set-associative and
-        // narrow/wide-line geometries that stress victim selection and
-        // sub-block masks.
+    fn both_planes_match_the_model_across_every_policy() {
+        // Every plane a sweep or a single run may take must agree with
+        // the independent oracle: every write-hit x write-miss
+        // combination, plus set-associative and narrow/wide-line
+        // geometries that stress victim selection and sub-block masks.
         let w = workloads::ccom();
         let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
         let mut configs = Vec::new();
@@ -969,11 +933,36 @@ mod tests {
                     .unwrap(),
             );
         }
-        let fanned = sweep(Source::Recorded(&trace), &configs, 1, None)
+        let swept = sweep(Source::Recorded(&trace), &configs, 1, None)
             .0
             .unwrap();
-        for (outcome, config) in fanned.iter().zip(&configs) {
-            assert_eq!(*outcome, replay(&trace, config), "{config:?}");
+        for (config, swept) in configs.iter().zip(&swept) {
+            let mut model = cwp_verify::ModelCache::new(*config);
+            let mut buf = [0u8; 8];
+            for r in trace.iter() {
+                let len = r.size as usize;
+                match r.kind {
+                    AccessKind::Read => model.read(r.addr, &mut buf[..len]),
+                    AccessKind::Write => model.write(r.addr, &buf[..len]),
+                }
+            }
+            let lines = model.line_states();
+            let traffic_execution = model.traffic();
+            model.flush();
+            let want = SimOutcome {
+                summary: trace.summary(),
+                stats: model.stats(),
+                traffic_execution,
+                traffic_total: model.traffic(),
+            };
+            assert_eq!(*swept, want, "{config:?} swept");
+            for (plane, (got_lines, got)) in [
+                ("data", drive_plane::<MainMemory>(&trace, config)),
+                ("data-free", drive_plane::<NullMemory>(&trace, config)),
+            ] {
+                assert_eq!(got_lines, lines, "{config:?} {plane} plane");
+                assert_eq!(got, want, "{config:?} {plane} plane");
+            }
         }
     }
 
@@ -1017,7 +1006,7 @@ mod tests {
     fn derived_write_through_twins_match_the_data_carrying_engine() {
         // Every bank shape the twin plan must get right, at every
         // geometry that changes how stores split, evict and write back:
-        // sweep must equal per-config replay on the data-carrying engine.
+        // sweep must equal a per-config run on the data plane.
         let mut seeds = cwp_mem::SplitMix64::seed_from_u64(0x7717);
         for line in [4u32, 16, 64] {
             for ways in [1u32, 2, 8] {
@@ -1053,8 +1042,10 @@ mod tests {
                             &[wa.unwrap(), wt, faulty_wt, wb, wi.unwrap()],
                         ];
                         for bank in banks {
-                            let golden: Vec<SimOutcome> =
-                                bank.iter().map(|c| replay(&trace, c)).collect();
+                            let golden: Vec<SimOutcome> = bank
+                                .iter()
+                                .map(|c| drive_plane::<MainMemory>(&trace, c).1)
+                                .collect();
                             for source in [Source::Recorded(&trace), Source::Live(&w, Scale::Test)]
                             {
                                 for threads in [1, 2] {
@@ -1132,7 +1123,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot model fault injection")]
     fn free_sink_rejects_fault_injection() {
-        let _ = DataFreeSink::new(faulty(1));
+        let _ = CacheSink::new(faulty(1));
     }
 
     #[test]
@@ -1296,7 +1287,7 @@ mod tests {
         let mut bank = vec![BankSink::Probe {
             fed: Arc::clone(&fed),
             stall: std::time::Duration::from_millis(5),
-            inner: Box::new(DataFreeSink::new(CacheConfig::default())),
+            inner: Box::new(CacheSink::new(CacheConfig::default())),
         }];
         let token = CancelToken::new();
         let w = CancelMidway {

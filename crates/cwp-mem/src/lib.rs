@@ -1,6 +1,6 @@
 //! Backing memory and the next-level interface for the `cwp` simulator.
 //!
-//! The cache simulator in `cwp-cache` is *data-carrying*: cache lines hold
+//! The cache simulator in `cwp-cache` can carry data: its lines then hold
 //! real bytes, and this crate supplies the flat memory those bytes
 //! ultimately live in. Carrying data lets the test suite assert *functional
 //! transparency* — that every cache/policy combination returns exactly the
@@ -11,7 +11,8 @@
 //! The [`NextLevel`] trait is the seam between hierarchy levels: a cache
 //! drives its next level through it, [`MainMemory`] terminates the stack,
 //! and [`TrafficRecorder`] wraps any level to count the transactions and
-//! bytes the paper's Section 5 measures.
+//! bytes the paper's Section 5 measures. [`NullMemory`] terminates a stack
+//! that needs no bytes at all: a cache over it runs on its data-free plane.
 //!
 //! # Examples
 //!
@@ -40,7 +41,7 @@ pub mod traffic;
 
 pub use error::CwpError;
 pub use faulty::{FaultyNextLevel, TransitFaultStats};
-pub use memory::MainMemory;
+pub use memory::{MainMemory, NullMemory};
 pub use next::NextLevel;
 pub use rng::SplitMix64;
 pub use traffic::{Traffic, TrafficClass, TrafficRecorder};

@@ -16,9 +16,8 @@ const PAGE: u64 = 4096;
 /// the golden model for the transparency property tests: any hierarchy of
 /// caches must return the same bytes a bare `MainMemory` would.
 ///
-/// It is the only backing memory: measurement passes that need no data
-/// at all skip it by running `cwp-cache`'s data-free `SoaCache` engine
-/// instead of a cache over an empty memory.
+/// Measurement passes that need no data at all use [`NullMemory`]
+/// instead, which puts the cache above it on its data-free plane.
 ///
 /// # Examples
 ///
@@ -104,6 +103,28 @@ impl NextLevel for MainMemory {
     fn write_through(&mut self, addr: u64, data: &[u8]) {
         self.write(addr, data);
     }
+}
+
+/// The next level of a cache that carries no data: it keeps nothing and
+/// returns nothing, and declares [`NextLevel::CARRIES_DATA`] false, so a
+/// cache over it (usually through a [`TrafficRecorder`](crate::TrafficRecorder))
+/// tracks only tags and per-byte valid and dirty masks. Statistics and
+/// traffic depend on the address stream alone, so they come out exactly
+/// as over [`MainMemory`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullMemory;
+
+impl NextLevel for NullMemory {
+    const CARRIES_DATA: bool = false;
+
+    #[inline]
+    fn fetch_line(&mut self, _addr: u64, _buf: &mut [u8]) {}
+
+    #[inline]
+    fn write_back(&mut self, _addr: u64, _data: &[u8]) {}
+
+    #[inline]
+    fn write_through(&mut self, _addr: u64, _data: &[u8]) {}
 }
 
 #[cfg(test)]

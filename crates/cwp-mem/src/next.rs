@@ -10,8 +10,16 @@
 ///
 /// Implementations must be functionally flat: a `fetch_line` must observe
 /// every byte previously stored by `write_back` or `write_through` at the
-/// same address, regardless of interleaving.
+/// same address, regardless of interleaving. The one exception is a
+/// level that declares [`NextLevel::CARRIES_DATA`] false.
 pub trait NextLevel {
+    /// Whether this level keeps the bytes it is given. A cache whose next
+    /// level keeps none has nothing to return on a read, so it carries no
+    /// data array itself: every data copy compiles away and only the
+    /// metadata (tags, per-byte valid and dirty masks, LRU) remains. See
+    /// [`NullMemory`](crate::NullMemory).
+    const CARRIES_DATA: bool = true;
+
     /// Fills `buf` with the bytes at `addr..addr + buf.len()`.
     ///
     /// Callers fetch whole cache lines, so `addr` is line-aligned and
@@ -27,6 +35,8 @@ pub trait NextLevel {
 }
 
 impl<N: NextLevel + ?Sized> NextLevel for &mut N {
+    const CARRIES_DATA: bool = N::CARRIES_DATA;
+
     fn fetch_line(&mut self, addr: u64, buf: &mut [u8]) {
         (**self).fetch_line(addr, buf)
     }

@@ -15,6 +15,7 @@ pub struct TrafficClass {
 }
 
 impl TrafficClass {
+    #[inline]
     fn tally(&mut self, bytes: usize) {
         self.transactions += 1;
         self.bytes += bytes as u64;
@@ -143,16 +144,21 @@ impl<N: NextLevel> TrafficRecorder<N> {
 }
 
 impl<N: NextLevel> NextLevel for TrafficRecorder<N> {
+    const CARRIES_DATA: bool = N::CARRIES_DATA;
+
+    #[inline]
     fn fetch_line(&mut self, addr: u64, buf: &mut [u8]) {
         self.traffic.fetch.tally(buf.len());
         self.inner.fetch_line(addr, buf);
     }
 
+    #[inline]
     fn write_back(&mut self, addr: u64, data: &[u8]) {
         self.traffic.write_back.tally(data.len());
         self.inner.write_back(addr, data);
     }
 
+    #[inline]
     fn write_through(&mut self, addr: u64, data: &[u8]) {
         self.traffic.write_through.tally(data.len());
         self.inner.write_through(addr, data);

@@ -481,13 +481,22 @@ mod tests {
 
     #[test]
     fn drain_under_injected_io_faults_keeps_acknowledged_results_durable() {
-        use cwp_chaos::{FaultPlan, FaultyIo, IoHandle, RealIo};
+        use cwp_chaos::{ChaosIo, FaultPlan, FaultyIo, IoHandle, RealIo};
 
         let dir = std::env::temp_dir().join(format!("cwp-drain-chaos-{}", std::process::id()));
         let memo_dir = dir.join("memo");
         let metrics_path = dir.join("metrics.json");
         std::fs::create_dir_all(&dir).unwrap();
-        let faulty = Arc::new(FaultyIo::new(FaultPlan::transient_only(100_000, 0xD4A1)));
+        // A transient-only plan rolls one draw per I/O op, so whether it
+        // fires depends only on how many ops run. This seed fires on the
+        // very first op, and the engine always does at least one (opening
+        // the memo journal), so the injection check below cannot depend
+        // on how much I/O a timing-dependent run happens to make.
+        let plan = FaultPlan::transient_only(100_000, 0xD4A6);
+        let first_op = FaultyIo::wrapping(cwp_chaos::MemIo::new(), plan);
+        let _ = first_op.create_dir_all(std::path::Path::new("/memo"));
+        assert_eq!(first_op.stats().injected(), 1, "the plan must fire on op 1");
+        let faulty = Arc::new(FaultyIo::new(plan));
         let engine = test_engine(|c| {
             c.workers = 1;
             c.memo_dir = Some(memo_dir.clone());

@@ -56,11 +56,12 @@ pub const APPROX_BYTES_PER_REF: u64 = 13;
 
 /// References per segment of a [`RecordedTrace`] (~12.25 MiB each).
 ///
-/// Paper-scale recordings (187.6M references ≈ 2.3 GiB) cannot live in
-/// one contiguous allocation per field: growing a flat `Vec<u64>` of
-/// addresses doubles through multi-gigabyte reallocations, and the
-/// final resize wants contiguous address space the store budget was
-/// never asked about. Segmenting bounds every allocation to one chunk
+/// Large recordings (`Scale::Paper` is 26,992,181 references ≈ 323 MiB;
+/// the paper's own 187.6M-reference volume would be ≈ 2.1 GiB) should
+/// not live in one contiguous allocation per field: growing a flat
+/// `Vec<u64>` of addresses doubles through ever larger reallocations,
+/// and the final resize wants contiguous address space the store budget
+/// was never asked about. Segmenting bounds every allocation to one chunk
 /// and lets streaming consumers process a recording chunk-at-a-time.
 ///
 /// Must stay a multiple of 4: metadata packs four references per byte,
@@ -284,8 +285,9 @@ impl RecordedTrace {
     /// recording therefore pays the scan once, not once per request.
     /// It is deliberately not computed in [`TraceRecorder::finish`]:
     /// most recordings are replayed and never hashed. A paper-scale
-    /// sweep records 187.6M references, and at ~19 ns per reference
-    /// eager hashing would add about 3.5 s that nobody reads.
+    /// sweep records 26,992,181 references (`Scale::Paper`), and at
+    /// ~19 ns per reference eager hashing would add about 0.5 s that
+    /// nobody reads.
     pub fn content_hash(&self) -> u64 {
         *self.hash.get_or_init(|| {
             const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1,21 +1,24 @@
 //! Lock-step differential execution: optimized engine vs naive model.
 //!
-//! [`check_case`] drives [`cwp_cache::Cache`] (the real data-carrying
-//! engine over [`cwp_mem::MainMemory`]) and [`ModelCache`] through the
-//! same reference stream with the same seeded store data, comparing after
-//! every reference:
+//! [`check_case`] drives [`cwp_cache::Cache`] and [`ModelCache`] through
+//! the same reference stream with the same seeded store data, once on
+//! each of the engine's planes: the data plane (over
+//! [`cwp_mem::MainMemory`]) and the data-free plane (over
+//! [`cwp_mem::NullMemory`]). It compares after every reference:
 //!
-//! * bytes returned by loads (functional transparency),
+//! * bytes returned by loads (functional transparency; data plane only),
 //! * the full [`cwp_cache::CacheStats`] counter block,
 //! * back-side [`cwp_mem::Traffic`] per class,
 //! * the engine's own sub-block mask laws
 //!   ([`cwp_cache::Cache::audit_masks_at`]),
 //!
-//! and at end of run: resident-line snapshots, flush statistics, and a
-//! post-flush data sweep re-reading every referenced address.
+//! and at end of run: resident-line snapshots, flush statistics, and (on
+//! the data plane) a post-flush data sweep re-reading every referenced
+//! address.
 
-use cwp_cache::MemoryCache;
+use cwp_cache::Cache;
 use cwp_mem::rng::SplitMix64;
+use cwp_mem::{MainMemory, NextLevel, NullMemory, TrafficRecorder};
 
 use crate::case::FuzzCase;
 use crate::model::{ModelBug, ModelCache};
@@ -48,8 +51,9 @@ fn data_rng(case: &FuzzCase) -> SplitMix64 {
     SplitMix64::seed_from_u64(case.seed ^ 0x9e37_79b9_7f4a_7c15)
 }
 
-/// Runs `case` through the engine and the faithful model in lock step.
-/// Returns the first divergence, or `None` when they agree everywhere.
+/// Runs `case` through the engine and the faithful model in lock step,
+/// on the data plane and then on the data-free plane. Returns the first
+/// divergence, or `None` when they agree everywhere.
 pub fn check_case(case: &FuzzCase) -> Option<Divergence> {
     check_case_with(case, ModelBug::None)
 }
@@ -57,7 +61,18 @@ pub fn check_case(case: &FuzzCase) -> Option<Divergence> {
 /// As [`check_case`], but against a model with `bug` planted — the
 /// shrinker demo uses this to manufacture a divergence on demand.
 pub fn check_case_with(case: &FuzzCase, bug: ModelBug) -> Option<Divergence> {
-    let mut engine = MemoryCache::with_memory(case.config);
+    lock_step::<MainMemory>(case, bug).or_else(|| {
+        lock_step::<NullMemory>(case, bug).map(|d| Divergence {
+            detail: format!("data-free plane: {}", d.detail),
+            ..d
+        })
+    })
+}
+
+/// One lock-step run of `case` on the engine's plane `N`. The read-data
+/// comparisons need bytes, so the data-free plane skips them.
+fn lock_step<N: NextLevel + Default>(case: &FuzzCase, bug: ModelBug) -> Option<Divergence> {
+    let mut engine = Cache::new(case.config, TrafficRecorder::new(N::default()));
     let mut model = ModelCache::with_bug(case.config, bug);
     let mut rng = data_rng(case);
 
@@ -72,7 +87,7 @@ pub fn check_case_with(case: &FuzzCase, bug: ModelBug) -> Option<Divergence> {
             let mut from_model = [0u8; 8];
             engine.read(r.addr, &mut from_engine[..len]);
             model.read(r.addr, &mut from_model[..len]);
-            if from_engine != from_model {
+            if N::CARRIES_DATA && from_engine != from_model {
                 return Some(Divergence {
                     step: Some(i),
                     field: "read-data",
@@ -149,6 +164,9 @@ pub fn check_case_with(case: &FuzzCase, bug: ModelBug) -> Option<Divergence> {
     // Post-flush transparency: every referenced address must read back
     // identically through both (now cold) caches, i.e. both memories
     // absorbed the same bytes.
+    if !N::CARRIES_DATA {
+        return None;
+    }
     for r in &case.refs {
         let len = r.size as usize;
         let mut from_engine = [0u8; 8];
@@ -230,6 +248,10 @@ mod tests {
         let case = write_pair_case(WriteHitPolicy::WriteBack, WriteMissPolicy::FetchOnWrite);
         let div = check_case_with(&case, ModelBug::VictimDirtyBytesOffByOne)
             .expect("the off-by-one must diverge");
+        assert_eq!(div.field, "stats");
+        // The data-free leg compares on its own, too.
+        let div = lock_step::<NullMemory>(&case, ModelBug::VictimDirtyBytesOffByOne)
+            .expect("the off-by-one must diverge on the data-free plane");
         assert_eq!(div.field, "stats");
     }
 }

@@ -98,8 +98,10 @@ trap 'rm -rf "$TRACE_DIR" "$KILL_DIR" "$REPLAY_DIR" "$FUZZ_DIR"' EXIT
     || { echo "verify: shrink-demo failed" >&2; exit 1; }
 
 echo "==> audited figures are byte-identical (invariant auditor observes, never steers)"
-# Plain runs settle fault-free cells on the data-free engine; audited
-# runs use the data-carrying one, so this is also a differential check.
+# Both runs take the same plane of the one engine (data only for fault
+# configs). The audited run re-derives every counter from the event
+# stream, checks the mask laws after every reference, and cross-checks
+# each banked sweep (twin units included) against audited single runs.
 AUDIT_IDS="table1 fig01 fig02 fig08 fig10 fig13 ext_assoc ext_bytes ext_fault"
 # shellcheck disable=SC2086
 "$FIGURES" --scale test --jobs 1 --quiet $AUDIT_IDS > "$FUZZ_DIR/plain.md"

@@ -406,15 +406,7 @@ fn cmd_replay(opt: &Options) -> Result<(), String> {
         }
         sink.record(r);
     }
-    let mut cache = sink.into_cache();
-    let traffic_execution = cache.traffic();
-    cache.flush();
-    let out = cwp::core::sim::SimOutcome {
-        summary,
-        stats: *cache.stats(),
-        traffic_execution,
-        traffic_total: cache.traffic(),
-    };
+    let (out, _) = sink.settle(summary);
     println!("trace file:  {path}");
     println!("cache:       {config}");
     report(&out, &config);
